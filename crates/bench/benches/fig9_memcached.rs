@@ -178,7 +178,6 @@ fn run_kv_accel(
         cfg.cache = CacheConfig {
             enabled: true,
             bytes_per_lane: 4 << 20,
-            ..CacheConfig::disabled()
         };
         cfg.cache_protocol = Some(Rc::new(KvCacheProtocol));
     }

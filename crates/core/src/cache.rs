@@ -49,12 +49,6 @@ pub struct CacheConfig {
     /// cache (shared-nothing, like the dispatch shards), so total cache
     /// memory is `bytes_per_lane * snic_cores`.
     pub bytes_per_lane: usize,
-    /// Record a dispatch→collect latency histogram for requests that
-    /// take the accelerator (miss) path, exposed via
-    /// [`LynxServer::miss_path_p99`](crate::LynxServer::miss_path_p99).
-    /// Works with the cache disabled too, so cache-on and cache-off runs
-    /// can compare miss-path tails like-for-like.
-    pub track_path_latency: bool,
 }
 
 impl Default for CacheConfig {
@@ -62,7 +56,6 @@ impl Default for CacheConfig {
         CacheConfig {
             enabled: false,
             bytes_per_lane: 1 << 20,
-            track_path_latency: false,
         }
     }
 }
@@ -100,6 +93,30 @@ pub enum CacheOp {
     Set(Vec<u8>),
     /// Anything else: bypasses the cache entirely.
     Other,
+}
+
+/// What the forwarder owes the cache when an accelerator-path request's
+/// response comes back, carried in the request's [`ReqCtx`](crate::ReqCtx)
+/// beside its mqueue slot. Keys are namespaced by service (and tenant
+/// function), as looked up at the dispatch stage.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum CacheTicket {
+    /// A GET miss holding the fill lease for `key` on lane `lane` (see
+    /// [`SnicCache::begin_fill`]): the response fills under `token`, or
+    /// the lease is abandoned.
+    Fill {
+        /// The pipeline lane whose cache issued the lease.
+        lane: usize,
+        /// The namespaced cache key.
+        key: Vec<u8>,
+        /// The lease token.
+        token: u64,
+    },
+    /// A write-through SET of the namespaced key: every lane invalidates
+    /// it again before the SET's reply leaves, so a GET that ran ahead of
+    /// the SET on another mqueue cannot leave the old value cached past
+    /// the acknowledgement.
+    Set(Vec<u8>),
 }
 
 /// Application-side wire-format knowledge the cache needs.
@@ -367,7 +384,16 @@ impl SnicCache {
     /// write cannot resurrect the overwritten value. Returns whether an
     /// entry was present (and fresh) to invalidate.
     pub fn invalidate(&mut self, key: &[u8]) -> bool {
-        self.leases.remove(key);
+        self.invalidate_keeping(key, None)
+    }
+
+    /// Like [`SnicCache::invalidate`], except that the outstanding fill
+    /// lease survives when its token is `keep` — a miss known to read the
+    /// key only after the write it is invalidated for.
+    pub fn invalidate_keeping(&mut self, key: &[u8], keep: Option<u64>) -> bool {
+        if self.leases.get(key) != keep.as_ref() {
+            self.leases.remove(key);
+        }
         match self.index.get(key) {
             Some(&i) => {
                 let slot = &mut self.slots[i];
@@ -562,7 +588,6 @@ mod tests {
         let cfg = CacheConfig {
             enabled: true,
             bytes_per_lane: 0,
-            track_path_latency: false,
         };
         assert!(cfg.validate().is_err());
         assert!(CacheConfig::disabled().validate().is_ok());

@@ -24,7 +24,7 @@
 //! (`tests/control.rs` asserts this). Hysteresis (consecutive windows of
 //! agreement before acting) keeps the autoscaler from flapping.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::BTreeSet;
 use std::time::Duration;
 
 use lynx_sim::{Time, WindowedHistogram};
@@ -371,9 +371,6 @@ pub(crate) struct SvcControl {
     pub(crate) hysteresis: Hysteresis,
     /// Serve-stale degradation switch (cache-backed deployments only).
     pub(crate) degrade: DegradeState,
-    /// Dispatch timestamps of in-flight requests, FIFO per queue (mqueue
-    /// responses complete in order, so front-pop matching is exact).
-    pub(crate) pending: Vec<VecDeque<Time>>,
     /// Queues parked by scale-in that still hold in-flight slots; drained
     /// (and their staged buffers recycled) once the backlog flushes.
     pub(crate) draining: BTreeSet<usize>,
@@ -388,7 +385,6 @@ impl SvcControl {
             bucket: TokenBucket::new(burst),
             hysteresis: Hysteresis::default(),
             degrade: DegradeState::default(),
-            pending: Vec::new(),
             draining: BTreeSet::new(),
             provisioning: BTreeSet::new(),
         }

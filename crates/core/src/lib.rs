@@ -59,13 +59,15 @@ mod validate;
 
 pub use accel::{AccelApp, ExecUnit, ProcessorApp, ThreadblockUnit, Worker, WorkerCtx};
 pub use builder::LynxServerBuilder;
-pub use cache::{CacheConfig, CacheOp, CacheProtocol, FnCacheProtocol, SnicCache, SnicKernel};
+pub use cache::{
+    CacheConfig, CacheOp, CacheProtocol, CacheTicket, FnCacheProtocol, SnicCache, SnicKernel,
+};
 pub use control::ControlConfig;
 pub use dispatch::{DispatchPolicy, Dispatcher};
 pub use error::{Error, Result};
 pub use hostcentric::HostCentricServer;
 pub use innova::InnovaReceiver;
-pub use mqueue::{Mqueue, MqueueConfig, MqueueKind, ReturnAddr, SLOT_HEADER};
+pub use mqueue::{Mqueue, MqueueConfig, MqueueKind, ReqCtx, ReturnAddr, SLOT_HEADER};
 pub use pipeline::{BatchPolicy, Pipeline, PipelineConfig};
 pub use rmq::{RemoteMqManager, RmqConfig};
 pub use server::{

@@ -7,8 +7,10 @@ use std::rc::Rc;
 
 use lynx_fabric::MemRegion;
 use lynx_net::{ConnId, SockAddr};
-use lynx_sim::{BufferPool, Payload, Sim, SiteCounter, SiteGauge, Telemetry, TraceEvent};
+use lynx_sim::{BufferPool, Payload, Sim, SiteCounter, SiteGauge, Telemetry, Time, TraceEvent};
 
+use crate::cache::CacheTicket;
+use crate::tenancy::FnId;
 use crate::Error;
 
 /// Per-slot header: message length (u32) + sequence/doorbell (u32).
@@ -28,6 +30,49 @@ pub enum ReturnAddr {
     Tcp(ConnId),
     /// No reply routing (client mqueues have a fixed destination).
     Fixed,
+}
+
+/// The SNIC's bookkeeping for one in-flight request, kept beside its
+/// server-mqueue slot (§4.3) and handed back when the slot is collected
+/// ([`RemoteMqManager::pull_responses`](crate::RemoteMqManager::pull_responses)).
+///
+/// Every per-request fact the forward path needs lives here, so it pairs
+/// with its response by construction: the mqueue completes slots in
+/// order and pops exactly one context per slot.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ReqCtx {
+    /// Where the response goes.
+    pub ret: ReturnAddr,
+    /// When the request was dispatched into the mqueue. `None` until the
+    /// server attaches it after a successful push, and again once the
+    /// context has been released without a response (queue quarantine).
+    pub dispatched_at: Option<Time>,
+    /// What the response owes the SNIC cache, if anything.
+    pub ticket: Option<CacheTicket>,
+    /// The tenant function holding an in-flight slot for this request.
+    pub func: Option<FnId>,
+}
+
+impl ReqCtx {
+    /// A bare context: return address only.
+    pub fn new(ret: ReturnAddr) -> ReqCtx {
+        ReqCtx {
+            ret,
+            dispatched_at: None,
+            ticket: None,
+            func: None,
+        }
+    }
+}
+
+/// One occupied server-mqueue slot: the request's context plus the
+/// SNIC-side staging of its encoded slot image, whose buffer returns to
+/// the scratch pool when the slot completes (or the queue is drained at
+/// scale-in), so steady-state encoding reuses scratch.
+#[derive(Debug)]
+struct Slot {
+    ctx: ReqCtx,
+    image: Option<Payload>,
 }
 
 /// Kind of mqueue (§4.3).
@@ -136,8 +181,9 @@ struct Inner {
     tx_popped: u64,
     /// Responses whose RDMA read is in flight (pull cursor ≥ `tx_popped`).
     tx_pulled: u64,
-    /// Reply routing, FIFO-matched to requests (server mqueues).
-    inflight: VecDeque<ReturnAddr>,
+    /// In-flight slots of a server mqueue, oldest first (index 0 is
+    /// sequence `tx_popped`).
+    inflight: VecDeque<Slot>,
     rx_watcher: Option<Watcher>,
     tx_watcher: Option<Watcher>,
     /// Counter sink this queue reports drops into. Starts as a private
@@ -151,11 +197,6 @@ struct Inner {
     /// simulation's telemetry sink.
     responses_site: SiteCounter,
     depth_site: SiteGauge,
-    /// SNIC-side staging of in-flight requests' encoded slot images, FIFO
-    /// by sequence. Each buffer returns to `pool` when its response
-    /// completes (or when the queue is drained at scale-in), so
-    /// steady-state encoding reuses scratch instead of allocating.
-    staged: VecDeque<Payload>,
     /// Scratch pool the staged slot images came from and return to.
     pool: Option<BufferPool>,
 }
@@ -166,8 +207,8 @@ struct Inner {
 /// [`MemRegion`]; the SmartNIC reaches them via RDMA
 /// ([`crate::RemoteMqManager`]) while the accelerator accesses them as
 /// plain local memory. This struct additionally holds the SNIC-side
-/// bookkeeping (in-flight return addresses, flow-control counters) that the
-/// real system keeps in SNIC DRAM.
+/// bookkeeping (one [`ReqCtx`] per in-flight slot, flow-control counters)
+/// that the real system keeps in SNIC DRAM.
 ///
 /// Flow control: a request occupies its RX slot until its response has been
 /// collected from the matching TX slot, so at most `slots` requests are in
@@ -250,7 +291,6 @@ impl Mqueue {
                 drops_site: SiteCounter::new(),
                 responses_site: SiteCounter::new(),
                 depth_site: SiteGauge::new(),
-                staged: VecDeque::new(),
                 pool: None,
             })),
         })
@@ -360,9 +400,44 @@ impl Mqueue {
         let seq = inner.rx_pushed;
         inner.rx_pushed += 1;
         if inner.kind == MqueueKind::Server {
-            inner.inflight.push_back(ret);
+            inner.inflight.push_back(Slot {
+                ctx: ReqCtx::new(ret),
+                image: None,
+            });
         }
         Ok(seq)
+    }
+
+    /// The in-flight server slot `seq`, if it is still outstanding.
+    fn slot_mut(inner: &mut Inner, seq: u64) -> Option<&mut Slot> {
+        let idx = seq.checked_sub(inner.tx_popped)?;
+        inner.inflight.get_mut(idx as usize)
+    }
+
+    /// Attaches the server's bookkeeping to the context of in-flight
+    /// request `seq` (the sequence a push returned as `Ok`). A request
+    /// rejected by backpressure never gets a slot, so its lease and
+    /// tenant slot stay with the caller.
+    pub(crate) fn attach(
+        &self,
+        seq: u64,
+        dispatched_at: Time,
+        ticket: Option<CacheTicket>,
+        func: Option<FnId>,
+    ) {
+        let mut inner = self.inner.borrow_mut();
+        let slot = Self::slot_mut(&mut inner, seq).expect("attach to an in-flight slot");
+        slot.ctx.dispatched_at = Some(dispatched_at);
+        slot.ctx.ticket = ticket;
+        slot.ctx.func = func;
+    }
+
+    /// Visits the context of every in-flight slot, oldest first (e.g. to
+    /// release what a quarantined queue's requests hold).
+    pub(crate) fn for_each_in_flight(&self, mut f: impl FnMut(&mut ReqCtx)) {
+        for slot in self.inner.borrow_mut().inflight.iter_mut() {
+            f(&mut slot.ctx);
+        }
     }
 
     /// Byte offset of RX slot `seq` within the region (transport-internal).
@@ -421,12 +496,12 @@ impl Mqueue {
         slot
     }
 
-    /// Stages the SNIC-side copy of an in-flight request's encoded slot
-    /// image. When the matching response completes (or the queue is
-    /// [`Mqueue::drain`]ed at scale-in) the image's buffer is recycled
-    /// into `pool` rather than dropped. Server queues only; on other
-    /// kinds the image is simply dropped.
-    pub(crate) fn stage_slot(&self, pool: &BufferPool, image: Payload) {
+    /// Stages the SNIC-side copy of in-flight request `seq`'s encoded
+    /// slot image in its slot. When the matching response completes (or
+    /// the queue is [`Mqueue::drain`]ed at scale-in) the image's buffer
+    /// is recycled into `pool` rather than dropped. Server queues only;
+    /// on other kinds the image is simply dropped.
+    pub(crate) fn stage_slot(&self, pool: &BufferPool, seq: u64, image: Payload) {
         let mut inner = self.inner.borrow_mut();
         if inner.kind != MqueueKind::Server {
             return;
@@ -434,12 +509,34 @@ impl Mqueue {
         if inner.pool.is_none() {
             inner.pool = Some(pool.clone());
         }
-        inner.staged.push_back(image);
+        if let Some(slot) = Self::slot_mut(&mut inner, seq) {
+            slot.image = Some(image);
+        }
     }
 
-    /// Deregisters a quiesced mqueue at scale-in: every staged slot image
-    /// is handed back to the scratch [`BufferPool`] (instead of being
-    /// dropped), and the pool's idle depth is published as the
+    /// Pops the oldest in-flight slot, recycling its staged image, and
+    /// returns its context (a bare [`ReturnAddr::Fixed`] one on client
+    /// queues, which keep no per-slot state).
+    fn pop_slot(inner: &mut Inner) -> ReqCtx {
+        if inner.kind != MqueueKind::Server {
+            return ReqCtx::new(ReturnAddr::Fixed);
+        }
+        let slot = inner
+            .inflight
+            .pop_front()
+            .expect("completed slot without a request");
+        // The completed request's staged slot image goes back to the
+        // scratch pool (a shared image degrades to a copy — never
+        // aliasing).
+        if let (Some(img), Some(pool)) = (slot.image, &inner.pool) {
+            pool.recycle(img.into_vec());
+        }
+        slot.ctx
+    }
+
+    /// Deregisters a quiesced mqueue at scale-in. Every slot has
+    /// completed, so every staged slot image is already back in the
+    /// scratch [`BufferPool`]; the pool's idle depth is published as the
     /// `buffer_pool.idle` gauge so tests can assert that repeated
     /// scale-in/out cycles do not grow the pool watermark. The ring
     /// cursors are left intact: a later scale-out resumes the queue where
@@ -451,18 +548,14 @@ impl Mqueue {
     /// park (quiesce) the queue and let in-flight slots flush first.
     pub fn drain(&self, sim: &mut Sim) {
         let pool = {
-            let mut inner = self.inner.borrow_mut();
+            let inner = self.inner.borrow();
             assert_eq!(
                 depth_of(&inner),
                 0,
                 "drain of a non-quiesced mqueue '{}' (park + flush first)",
                 inner.label
             );
-            let pool = inner.pool.clone().unwrap_or_else(|| sim.buffers());
-            while let Some(img) = inner.staged.pop_front() {
-                pool.recycle(img.into_vec());
-            }
-            pool
+            inner.pool.clone().unwrap_or_else(|| sim.buffers())
         };
         sim.gauge("buffer_pool.idle", pool.idle() as f64);
     }
@@ -502,10 +595,14 @@ impl Mqueue {
         let off = inner.tx_base + (seq as usize % inner.cfg.slots) * inner.cfg.slot_size;
         let len = inner.mem.read_u32(off) as usize;
         let ret = match inner.kind {
-            MqueueKind::Server => *inner
-                .inflight
-                .front()
-                .expect("response without matching request"),
+            MqueueKind::Server => {
+                inner
+                    .inflight
+                    .front()
+                    .expect("response without matching request")
+                    .ctx
+                    .ret
+            }
             MqueueKind::Client => ReturnAddr::Fixed,
         };
         Some((seq, ret, len))
@@ -530,41 +627,54 @@ impl Mqueue {
         let ret = match inner.kind {
             MqueueKind::Server => {
                 let idx = (seq - inner.tx_popped) as usize;
-                *inner
+                inner
                     .inflight
                     .get(idx)
                     .expect("response without matching request")
+                    .ctx
+                    .ret
             }
             MqueueKind::Client => ReturnAddr::Fixed,
         };
         Some((seq, ret, len))
     }
 
-    /// Releases the slot of a collected response, freeing an RX credit.
+    /// Releases the slot of a collected response, freeing an RX credit,
+    /// and returns the request's context.
     ///
     /// # Panics
     ///
     /// Panics if `seq` is not the oldest outstanding response (responses
     /// are collected in order).
     #[doc(hidden)]
-    pub fn complete(&self, seq: u64) {
-        self.complete_n(seq, 1);
+    pub fn complete(&self, seq: u64) -> ReqCtx {
+        let mut inner = self.inner.borrow_mut();
+        Self::advance_collected(&mut inner, seq, 1);
+        Self::pop_slot(&mut inner)
     }
 
     /// Releases `n` consecutive collected responses starting at
     /// `first_seq`, freeing their RX credits in one bulk acknowledgement —
     /// the batched forwarder's completion path (one bookkeeping pass per
-    /// collected batch instead of one per message).
+    /// collected batch instead of one per message). Returns the requests'
+    /// contexts in order.
     ///
     /// # Panics
     ///
     /// Panics if `first_seq` is not the oldest outstanding response, or if
     /// fewer than `n` responses have been produced.
-    pub(crate) fn complete_n(&self, first_seq: u64, n: u64) {
+    pub(crate) fn complete_n(&self, first_seq: u64, n: u64) -> Vec<ReqCtx> {
         if n == 0 {
-            return;
+            return Vec::new();
         }
         let mut inner = self.inner.borrow_mut();
+        Self::advance_collected(&mut inner, first_seq, n);
+        (0..n).map(|_| Self::pop_slot(&mut inner)).collect()
+    }
+
+    /// Advances the collection cursor past `n` responses starting at
+    /// `first_seq` (the slots themselves are popped by the caller).
+    fn advance_collected(inner: &mut Inner, first_seq: u64, n: u64) {
         assert_eq!(first_seq, inner.tx_popped, "responses complete in order");
         assert!(
             first_seq + n <= inner.tx_pushed,
@@ -574,19 +684,6 @@ impl Mqueue {
         // Completion via peek_response never claimed the slots through
         // begin_pull; keep the pull cursor from falling behind.
         inner.tx_pulled = inner.tx_pulled.max(inner.tx_popped);
-        if inner.kind == MqueueKind::Server {
-            for _ in 0..n {
-                inner.inflight.pop_front();
-                // The completed request's staged slot image goes back to
-                // the scratch pool (a shared image degrades to a copy —
-                // never aliasing).
-                if let Some(img) = inner.staged.pop_front() {
-                    if let Some(pool) = &inner.pool {
-                        pool.recycle(img.into_vec());
-                    }
-                }
-            }
-        }
     }
 
     /// Responses produced by the accelerator but not yet claimed for
@@ -633,14 +730,7 @@ impl Mqueue {
         inner.tx_pushed = inner.tx_pushed.max(seq + 1);
         inner.tx_pulled = inner.tx_pulled.max(seq + 1);
         inner.tx_popped += 1;
-        if inner.kind == MqueueKind::Server {
-            inner.inflight.pop_front();
-            if let Some(img) = inner.staged.pop_front() {
-                if let Some(pool) = &inner.pool {
-                    pool.recycle(img.into_vec());
-                }
-            }
-        }
+        Self::pop_slot(&mut inner);
     }
 
     /// Sends a message on the TX ring using the next sequence number —
@@ -957,7 +1047,7 @@ mod tests {
             let seq = q.try_reserve(ReturnAddr::Fixed).unwrap();
             let slot = q.encode_slot_pooled(&pool, seq, &[round as u8]);
             q.mem().write(q.rx_slot_offset(seq), &slot);
-            q.stage_slot(&pool, Payload::from(slot));
+            q.stage_slot(&pool, seq, Payload::from(slot));
             q.acc_pop_request().unwrap();
             q.acc_push_response(&mut sim, seq, &[round as u8]);
             let (s, _, _) = q.peek_response().unwrap();
@@ -980,7 +1070,7 @@ mod tests {
         let seq = q.try_reserve(ReturnAddr::Fixed).unwrap();
         let slot = q.encode_slot_pooled(&pool, seq, b"x");
         q.mem().write(q.rx_slot_offset(seq), &slot);
-        q.stage_slot(&pool, Payload::from(slot));
+        q.stage_slot(&pool, seq, Payload::from(slot));
         q.acc_pop_request().unwrap();
         q.acc_push_response(&mut sim, seq, b"y");
         let (s, _, _) = q.peek_response().unwrap();
@@ -1002,6 +1092,41 @@ mod tests {
         let q = mq(MqueueKind::Server, 4);
         q.try_reserve(ReturnAddr::Fixed).unwrap();
         q.drain(&mut sim);
+    }
+
+    #[test]
+    fn attached_contexts_come_back_with_their_slots() {
+        let mut sim = Sim::new(0);
+        let q = mq(MqueueKind::Server, 4);
+        let c1 = ReturnAddr::Udp(SockAddr::new(lynx_net::HostId(1), 1));
+        let s0 = q.try_reserve(ReturnAddr::Fixed).unwrap();
+        let s1 = q.try_reserve(c1).unwrap();
+        let ticket = CacheTicket::Set(b"k".to_vec());
+        q.attach(
+            s1,
+            Time::from_micros(3),
+            Some(ticket.clone()),
+            Some(FnId(7)),
+        );
+        for (seq, p) in [(s0, b"a"), (s1, b"b")] {
+            land(&q, seq, p);
+            q.acc_pop_request().unwrap();
+            q.acc_push_response(&mut sim, seq, p);
+        }
+        let (first, _, _) = q.begin_pull().unwrap();
+        q.begin_pull().unwrap();
+        let ctxs = q.complete_n(first, 2);
+        assert_eq!(ctxs[0], ReqCtx::new(ReturnAddr::Fixed), "never attached");
+        assert_eq!(
+            ctxs[1],
+            ReqCtx {
+                ret: c1,
+                dispatched_at: Some(Time::from_micros(3)),
+                ticket: Some(ticket),
+                func: Some(FnId(7)),
+            }
+        );
+        assert_eq!(q.in_flight(), 0);
     }
 
     #[test]

@@ -179,6 +179,8 @@ pub(crate) struct StagedRequest {
     pub(crate) ret: ReturnAddr,
     pub(crate) key: u64,
     pub(crate) payload: lynx_sim::Payload,
+    /// The tenant function the tenancy gate admitted the request as.
+    pub(crate) func: Option<crate::tenancy::FnId>,
 }
 
 struct CoreState {
@@ -380,6 +382,7 @@ mod tests {
             ret: ReturnAddr::Fixed,
             key,
             payload: lynx_sim::Payload::new(),
+            func: None,
         };
         assert!(p.stage(0, req(0)), "first stage on a core schedules");
         assert!(!p.stage(0, req(2)), "second rides the pending drain");
@@ -410,6 +413,7 @@ mod tests {
                     ret: ReturnAddr::Fixed,
                     key: k,
                     payload: lynx_sim::Payload::new(),
+                    func: None,
                 },
             );
         }

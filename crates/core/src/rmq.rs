@@ -28,7 +28,7 @@ use lynx_fabric::QueuePair;
 use lynx_sim::{Payload, Sim, TraceEvent};
 
 use crate::mqueue::SLOT_HEADER;
-use crate::{Error, Mqueue, ReturnAddr};
+use crate::{Error, Mqueue, ReqCtx, ReturnAddr};
 
 /// Timeout/retry policy for the manager's RDMA verbs.
 ///
@@ -104,8 +104,9 @@ type DoneFn<T> = Box<dyn FnOnce(&mut Sim, crate::Result<T>)>;
 type AttemptFn = Rc<dyn Fn(&mut Sim, u32)>;
 type AttemptHolder = Rc<RefCell<Option<AttemptFn>>>;
 
-/// One collected response: its return address and payload.
-type Response = (ReturnAddr, Payload);
+/// One collected slot: the request's context and the response payload,
+/// `None` when the transport gave up on reading it.
+type Response = (ReqCtx, Option<Payload>);
 
 /// Delivery continuation of a batched [`RemoteMqManager::pull_responses`].
 type CollectFn = dyn FnOnce(&mut Sim, Vec<Response>);
@@ -208,14 +209,19 @@ fn with_retry<T: 'static>(
     attempt(sim, 0);
 }
 
+/// Continuation of [`complete_in_order`]: receives the released slot's
+/// request context.
+type DeliverFn = Box<dyn FnOnce(&mut Sim, ReqCtx)>;
+
 /// Releases response slot `seq` as soon as it becomes the oldest
-/// outstanding one, then runs `deliver`. Retried RDMA reads can land out
-/// of posting order, but [`Mqueue::complete`] requires in-order release;
-/// this shim restores the order by polling deterministically.
-fn complete_in_order(sim: &mut Sim, mq: Mqueue, seq: u64, deliver: Box<dyn FnOnce(&mut Sim)>) {
+/// outstanding one, then runs `deliver` with the slot's context. Retried
+/// RDMA reads can land out of posting order, but [`Mqueue::complete`]
+/// requires in-order release; this shim restores the order by polling
+/// deterministically.
+fn complete_in_order(sim: &mut Sim, mq: Mqueue, seq: u64, deliver: DeliverFn) {
     if mq.collected() == seq {
-        mq.complete(seq);
-        deliver(sim);
+        let ctx = mq.complete(seq);
+        deliver(sim, ctx);
     } else {
         sim.schedule_in(Duration::from_nanos(500), move |sim| {
             complete_in_order(sim, mq, seq, deliver);
@@ -304,7 +310,7 @@ impl RemoteMqManager {
                 // at scale-in drain) instead of being dropped.
                 let pool = sim.buffers();
                 let slot = Payload::from(mq.encode_slot_pooled(&pool, seq, payload));
-                mq.stage_slot(&pool, slot.clone());
+                mq.stage_slot(&pool, seq, slot.clone());
                 self.qp.post_write(sim, slot, &mem, offset, move |sim| {
                     mq2.notify_rx(sim);
                     delivered(sim, Ok(()));
@@ -337,7 +343,7 @@ impl RemoteMqManager {
             // (an `Rc` bump), instead of deep-copying the slot image.
             let pool = sim.buffers();
             let slot = Payload::from(mq.encode_slot_pooled(&pool, seq, payload));
-            mq.stage_slot(&pool, slot.clone());
+            mq.stage_slot(&pool, seq, slot.clone());
             let qp = self.qp.clone();
             let post: Rc<PostFn<()>> = Rc::new(move |sim, cb| {
                 qp.post_write_checked(sim, slot.clone(), &mem, offset, move |sim, r| {
@@ -504,7 +510,7 @@ impl RemoteMqManager {
                 .iter()
                 .map(|(seq, offset, payload)| {
                     let slot = Payload::from(mq.encode_slot_pooled(&pool, *seq, payload));
-                    mq.stage_slot(&pool, slot.clone());
+                    mq.stage_slot(&pool, *seq, slot.clone());
                     (*offset, slot)
                 })
                 .collect();
@@ -576,34 +582,35 @@ impl RemoteMqManager {
     /// single chained read with one doorbell, and the slots are released
     /// in one bulk acknowledgement.
     ///
-    /// Calls `collected` once with the responses (in production order); if
-    /// no response is pending, `collected` never runs. Under an armed
-    /// fault plan each span is its own fault site: struck spans are
-    /// re-driven individually through the retry machinery while the rest
-    /// of the batch proceeds, slots are released strictly in order, and a
-    /// span whose retry budget is exhausted is discarded (counted in
-    /// `rmq.giveups`) without wedging later responses — `collected` then
-    /// receives only the surviving responses.
+    /// Calls `collected` once with the context of every claimed slot and
+    /// its response (in production order); if no response is pending,
+    /// `collected` never runs. Under an armed fault plan each span is its
+    /// own fault site: struck spans are re-driven individually through
+    /// the retry machinery while the rest of the batch proceeds, slots
+    /// are released strictly in order, and a span whose retry budget is
+    /// exhausted (counted in `rmq.giveups`) is released without wedging
+    /// later responses — its context arrives with `None` in place of the
+    /// payload, so the caller can settle what the request held.
     pub fn pull_responses(
         &self,
         sim: &mut Sim,
         mq: &Mqueue,
         max: usize,
-        collected: impl FnOnce(&mut Sim, Vec<(ReturnAddr, Payload)>) + 'static,
+        collected: impl FnOnce(&mut Sim, Vec<(ReqCtx, Option<Payload>)>) + 'static,
     ) {
         let mut claims = Vec::new();
         while claims.len() < max {
-            let Some((seq, ret, len)) = mq.begin_pull() else {
+            let Some((seq, _, len)) = mq.begin_pull() else {
                 break;
             };
-            claims.push((seq, ret, len));
+            claims.push((seq, len));
         }
         if claims.is_empty() {
             return;
         }
         let spans: Vec<(usize, usize)> = claims
             .iter()
-            .map(|(seq, _, len)| (mq.tx_slot_offset(*seq), SLOT_HEADER + len))
+            .map(|(seq, len)| (mq.tx_slot_offset(*seq), SLOT_HEADER + len))
             .collect();
         let mem = mq.mem();
         let mq2 = mq.clone();
@@ -611,9 +618,9 @@ impl RemoteMqManager {
             let first_seq = claims[0].0;
             self.qp
                 .post_read_vectored(sim, &mem, spans, move |sim, outcomes| {
-                    mq2.complete_n(first_seq, outcomes.len() as u64);
+                    let ctxs = mq2.complete_n(first_seq, outcomes.len() as u64);
                     let mut out = Vec::with_capacity(outcomes.len());
-                    for ((seq, ret, _), bytes) in claims.into_iter().zip(outcomes) {
+                    for (((seq, _), bytes), ctx) in claims.into_iter().zip(outcomes).zip(ctxs) {
                         let bytes = bytes.expect("fault-free read cannot error");
                         // A view past the header — no payload copy.
                         let payload = bytes.slice_from(SLOT_HEADER);
@@ -624,7 +631,7 @@ impl RemoteMqManager {
                             seq,
                             bytes: bytes_out,
                         });
-                        out.push((ret, payload));
+                        out.push((ctx, Some(payload)));
                     }
                     collected(sim, out);
                 });
@@ -648,14 +655,14 @@ impl RemoteMqManager {
         self.qp
             .post_read_vectored(sim, &mem, spans, move |sim, outcomes| {
                 for (i, outcome) in outcomes.into_iter().enumerate() {
-                    let (seq, ret, _) = claims[i];
+                    let (seq, _) = claims[i];
                     let settle = {
                         let slots = Rc::clone(&slots);
                         let remaining = Rc::clone(&remaining);
                         let collected = Rc::clone(&collected);
                         let mq_evt = mq2.clone();
-                        move |sim: &mut Sim, bytes: Option<Payload>| {
-                            if let Some(bytes) = bytes {
+                        move |sim: &mut Sim, ctx: ReqCtx, bytes: Option<Payload>| {
+                            let payload = bytes.map(|bytes| {
                                 let payload = bytes.slice_from(SLOT_HEADER);
                                 let bytes_out = payload.len();
                                 let q = mq_evt.label();
@@ -664,8 +671,9 @@ impl RemoteMqManager {
                                     seq,
                                     bytes: bytes_out,
                                 });
-                                slots.borrow_mut()[i] = Some((ret, payload));
-                            }
+                                payload
+                            });
+                            slots.borrow_mut()[i] = Some((ctx, payload));
                             remaining.set(remaining.get() - 1);
                             if remaining.get() == 0 {
                                 let out = slots.borrow_mut().drain(..).flatten().collect();
@@ -682,7 +690,7 @@ impl RemoteMqManager {
                                 sim,
                                 mq3,
                                 seq,
-                                Box::new(move |sim| settle(sim, Some(bytes))),
+                                Box::new(move |sim, ctx| settle(sim, ctx, Some(bytes))),
                             );
                         }
                         Err(_) => {
@@ -710,7 +718,7 @@ impl RemoteMqManager {
                                         sim,
                                         mq3,
                                         seq,
-                                        Box::new(move |sim| settle(sim, r.ok())),
+                                        Box::new(move |sim, ctx| settle(sim, ctx, r.ok())),
                                     );
                                 }),
                             );
@@ -723,20 +731,20 @@ impl RemoteMqManager {
     /// Collects the next ready response from an mqueue's TX ring: an RDMA
     /// read of the slot, after which the slot is released.
     ///
-    /// Calls `collected` with the response's return address and payload.
-    /// Does nothing if no response is pending. Under an armed fault plan
-    /// the read is watchdog-guarded and retried; if the retry budget is
-    /// exhausted the slot is still released (so later responses are not
-    /// wedged) but the response is discarded — counted in `rmq.giveups` —
-    /// and `collected` never runs, which to a UDP client looks like a lost
-    /// reply.
+    /// Calls `collected` with the request's context and the response
+    /// payload. Does nothing if no response is pending. Under an armed
+    /// fault plan the read is watchdog-guarded and retried; if the retry
+    /// budget is exhausted the slot is still released (so later responses
+    /// are not wedged) but the response is discarded — counted in
+    /// `rmq.giveups` — and `collected` receives `None` in place of the
+    /// payload, which to a UDP client looks like a lost reply.
     pub fn pull_response(
         &self,
         sim: &mut Sim,
         mq: &Mqueue,
-        collected: impl FnOnce(&mut Sim, ReturnAddr, Payload) + 'static,
+        collected: impl FnOnce(&mut Sim, ReqCtx, Option<Payload>) + 'static,
     ) {
-        let Some((seq, ret, len)) = mq.begin_pull() else {
+        let Some((seq, _, len)) = mq.begin_pull() else {
             return;
         };
         let offset = mq.tx_slot_offset(seq);
@@ -749,7 +757,7 @@ impl RemoteMqManager {
             // cost-equivalent).
             self.qp
                 .post_read(sim, &mem, offset, SLOT_HEADER + len, move |sim, bytes| {
-                    mq2.complete(seq);
+                    let ctx = mq2.complete(seq);
                     let payload = bytes.slice_from(SLOT_HEADER);
                     let mq_evt = mq2.clone();
                     let bytes_out = payload.len();
@@ -758,7 +766,7 @@ impl RemoteMqManager {
                         seq,
                         bytes: bytes_out,
                     });
-                    collected(sim, ret, payload);
+                    collected(sim, ctx, Some(payload));
                 });
             return;
         }
@@ -775,10 +783,10 @@ impl RemoteMqManager {
             label,
             post,
             Box::new(move |sim, result| {
-                let deliver: Box<dyn FnOnce(&mut Sim)> = match result {
+                let deliver: DeliverFn = match result {
                     Ok(bytes) => {
                         let mq_evt = mq2.clone();
-                        Box::new(move |sim: &mut Sim| {
+                        Box::new(move |sim: &mut Sim, ctx| {
                             let payload = bytes.slice_from(SLOT_HEADER);
                             let bytes_out = payload.len();
                             sim.trace(|| TraceEvent::Forward {
@@ -786,11 +794,12 @@ impl RemoteMqManager {
                                 seq,
                                 bytes: bytes_out,
                             });
-                            collected(sim, ret, payload);
+                            collected(sim, ctx, Some(payload));
                         })
                     }
-                    // Discard: rmq.giveups was counted by the retry driver.
-                    Err(_) => Box::new(|_| {}),
+                    // Discarded: rmq.giveups was counted by the retry
+                    // driver; the context still goes back to the caller.
+                    Err(_) => Box::new(move |sim: &mut Sim, ctx| collected(sim, ctx, None)),
                 };
                 complete_in_order(sim, mq2.clone(), seq, deliver);
             }),
@@ -906,9 +915,9 @@ mod tests {
         mq.acc_push_response(&mut sim, seq, b"pong");
         let got = Rc::new(Cell::new(false));
         let g = Rc::clone(&got);
-        rmq.pull_response(&mut sim, &mq, move |_, ret, payload| {
-            assert_eq!(ret, client);
-            assert_eq!(payload, b"pong");
+        rmq.pull_response(&mut sim, &mq, move |_, ctx, payload| {
+            assert_eq!(ctx.ret, client);
+            assert_eq!(payload.unwrap(), b"pong");
             g.set(true);
         });
         sim.run();
@@ -1003,13 +1012,42 @@ mod tests {
         let got = Rc::new(Cell::new(false));
         let g = Rc::clone(&got);
         rmq.pull_response(&mut sim, &mq, move |_, _, payload| {
-            assert_eq!(payload, b"pong");
+            assert_eq!(payload.unwrap(), b"pong");
             g.set(true);
         });
         sim.run();
         assert!(got.get(), "response must survive one read error");
         assert_eq!(sim.telemetry().unwrap().counter("rmq.retries"), 1);
         assert_eq!(mq.in_flight(), 0);
+    }
+
+    #[test]
+    fn pull_giveup_hands_back_the_context_without_payload() {
+        let (mut sim, rmq, mq) = rig(MqueueConfig::default());
+        let client = ReturnAddr::Udp(lynx_net::SockAddr::new(lynx_net::HostId(4), 9));
+        rmq.push_request(&mut sim, &mq, client, b"ping", |_, _| {})
+            .unwrap();
+        sim.run();
+        let (seq, _) = mq.acc_pop_request().unwrap();
+        mq.acc_push_response(&mut sim, seq, b"pong");
+        sim.enable_telemetry();
+        sim.enable_faults(FaultPlan::new(4).rule(
+            "rdma.read.gpu",
+            Trigger::Every {
+                period: 1,
+                offset: 0,
+            },
+            FaultAction::CqeError,
+        ));
+        let got = Rc::new(RefCell::new(None));
+        let g = Rc::clone(&got);
+        rmq.pull_response(&mut sim, &mq, move |_, ctx, payload| {
+            *g.borrow_mut() = Some((ctx.ret, payload));
+        });
+        sim.run();
+        assert_eq!(*got.borrow(), Some((client, None)), "context, no payload");
+        assert_eq!(sim.telemetry().unwrap().counter("rmq.giveups"), 1);
+        assert_eq!(mq.in_flight(), 0, "the slot is released");
     }
 
     #[test]
@@ -1130,9 +1168,9 @@ mod tests {
         assert_eq!(after - before, 1, "one chained read for the whole batch");
         let got = got.borrow();
         assert_eq!(got.len(), 3);
-        for (i, (ret, payload)) in got.iter().enumerate() {
-            assert_eq!(*ret, clients[i]);
-            assert_eq!(payload, format!("pong{i}").as_bytes());
+        for (i, (ctx, payload)) in got.iter().enumerate() {
+            assert_eq!(ctx.ret, clients[i]);
+            assert_eq!(payload.as_ref().unwrap(), format!("pong{i}").as_bytes());
         }
         assert_eq!(mq.in_flight(), 0);
     }
@@ -1209,7 +1247,7 @@ mod tests {
         let got = got.borrow();
         assert_eq!(got.len(), 3, "struck span recovered via retry");
         for (i, (_, payload)) in got.iter().enumerate() {
-            assert_eq!(payload, &[i as u8]);
+            assert_eq!(payload.as_ref().unwrap(), &[i as u8]);
         }
         assert_eq!(sim.telemetry().unwrap().counter("rmq.retries"), 1);
         assert_eq!(mq.in_flight(), 0);

@@ -2,7 +2,6 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::hash_map::DefaultHasher;
-use std::collections::VecDeque;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::rc::Rc;
@@ -10,13 +9,13 @@ use std::time::Duration;
 
 use lynx_device::{profile_for, BluefieldProfile, CostProfile, CpuKind};
 use lynx_net::{ConnId, HostStack, SockAddr};
-use lynx_sim::{Histogram, Payload, Sim, SiteCounter, SiteGauge, Telemetry, Time, TraceEvent};
+use lynx_sim::{Payload, Sim, SiteCounter, SiteGauge, Telemetry, Time, TraceEvent};
 
-use crate::cache::{CacheConfig, CacheOp, CacheProtocol, SnicCache, SnicKernel};
+use crate::cache::{CacheConfig, CacheOp, CacheProtocol, CacheTicket, SnicCache, SnicKernel};
 use crate::control::{ControlConfig, ScaleDecision, SvcControl};
 use crate::pipeline::{Pipeline, PipelineConfig, StagedRequest};
 use crate::tenancy::{FnId, Tenancy, TenancyStats, TenantCacheMode};
-use crate::{DispatchPolicy, Dispatcher, Error, Mqueue, RemoteMqManager, ReturnAddr};
+use crate::{DispatchPolicy, Dispatcher, Error, Mqueue, RemoteMqManager, ReqCtx, ReturnAddr};
 
 /// Where the Lynx server logic runs — selects core counts and cost models
 /// for the paper's evaluated configurations (§6.1).
@@ -233,14 +232,7 @@ struct ServerSites {
     cache_bytes: SiteGauge,
     snic_offloaded: SiteCounter,
     snic_cycles: SiteCounter,
-    tenancy_matched: SiteCounter,
-    tenancy_unmatched: SiteCounter,
-    tenancy_shed: SiteCounter,
-    tenancy_cold: SiteCounter,
-    tenancy_evictions: SiteCounter,
-    tenancy_deferred: SiteCounter,
-    tenancy_resident_fns: SiteGauge,
-    tenancy_resident_bytes: SiteGauge,
+    path_resets: SiteCounter,
 }
 
 /// Per-service counter handles (`server.svc<i>.*` and the dispatcher's
@@ -271,38 +263,16 @@ impl ServiceId {
 struct QueueHealth {
     last_responses: u64,
     last_progress: Time,
-    /// The per-queue request↔response FIFO has lost an entry (a request
-    /// was quarantined or a response gave up post-acceptance), so path
-    /// and latency matching is suspended until the queue fully drains —
-    /// a misaligned pop would pair a response with the wrong request and
-    /// fill the cache under the wrong key.
-    path_lost: bool,
-}
-
-/// Where a cacheable GET miss's response should land: the lane cache, the
-/// namespaced key, and the fill lease taken at miss time (see
-/// [`SnicCache::begin_fill`] — a SET dispatched while the miss is in
-/// flight voids the lease, so the pre-SET response cannot resurrect).
-struct FillSlot {
-    lane: usize,
-    key: Vec<u8>,
-    token: u64,
-}
-
-/// One accelerator-path request in flight: when it was dispatched and,
-/// for cacheable GET misses, where its response should be cached.
-struct PathEntry {
-    at: Time,
-    fill: Option<FillSlot>,
 }
 
 /// What the dispatch-stage cache consult decided for one request.
 enum CacheOutcome {
     /// Fresh cached value: reply from the SNIC, skip the mqueue.
     Hit(Payload),
-    /// Take the accelerator path; `Some` carries the leased cache slot a
-    /// cacheable response should fill on the way back.
-    Miss(Option<FillSlot>),
+    /// Take the accelerator path; `Some` carries what the response owes
+    /// the cache (a GET miss's fill lease, or a SET's key to invalidate
+    /// again).
+    Miss(Option<CacheTicket>),
 }
 
 struct Service {
@@ -313,18 +283,6 @@ struct Service {
     udp_port: Option<u16>,
     sites: SvcSites,
     control: SvcControl,
-    /// Per-queue FIFO matching accelerator-path requests to their
-    /// responses (mqueues complete in order), maintained only when the
-    /// cache or path-latency tracking is on.
-    path: Vec<VecDeque<PathEntry>>,
-    /// Dispatch→collect latency of accelerator-path (miss) requests,
-    /// recorded when [`CacheConfig::track_path_latency`] is set.
-    miss_path: Histogram,
-    /// Per-queue FIFO of the tenant function behind each accelerator-path
-    /// request (mqueues complete in order), maintained only when the
-    /// tenancy stage is on: collection releases the function's in-flight
-    /// slot, which is what gates deferred residency eviction.
-    tfifo: Vec<VecDeque<u32>>,
 }
 
 impl Service {
@@ -337,9 +295,6 @@ impl Service {
             udp_port: None,
             sites: SvcSites::default(),
             control: SvcControl::new(admission_burst),
-            path: Vec::new(),
-            miss_path: Histogram::new(),
-            tfifo: Vec::new(),
         }
     }
 }
@@ -388,114 +343,167 @@ struct Inner {
     /// function registry, per-tenant admission and LRU residency. `None`
     /// (or a disabled config) leaves the request path exactly as before.
     tenancy: Option<Tenancy>,
-    /// Last tenancy-stats snapshot mirrored into the telemetry counters —
-    /// the delta source for `tenancy.*`.
-    tenancy_seen: TenancyStats,
 }
 
 impl Inner {
-    /// Whether per-request path entries must be recorded (the cache
-    /// needs them for fills, the latency histogram for the miss tail).
-    fn track_path(&self) -> bool {
-        self.cache_cfg.enabled || self.cache_cfg.track_path_latency
+    /// Whether tenant function `func` skips the SNIC cache
+    /// ([`TenantCacheMode::Bypass`]); other matched functions partition
+    /// it under their own key namespace.
+    fn bypasses_cache(&self, func: Option<FnId>) -> bool {
+        func.zip(self.tenancy.as_ref())
+            .is_some_and(|(f, t)| t.registry().spec(f).cache == TenantCacheMode::Bypass)
     }
 
-    /// Whether the tenancy match-action stage gates requests.
-    fn tenancy_on(&self) -> bool {
-        self.tenancy.as_ref().is_some_and(Tenancy::enabled)
+    /// Releases what a request that will never be collected holds (it
+    /// was answered at the SNIC, dropped or rejected): a GET miss's fill
+    /// lease is abandoned — a SET that never ran has nothing to
+    /// invalidate again — and the tenant's in-flight slot is freed.
+    fn release(&mut self, ticket: Option<CacheTicket>, func: Option<FnId>) {
+        if let Some(CacheTicket::Fill { lane, key, token }) = ticket {
+            self.caches[lane].abandon_fill(&key, token);
+        }
+        if let (Some(f), Some(t)) = (func, self.tenancy.as_mut()) {
+            t.complete(f);
+        }
     }
 
-    /// Re-matches a payload to its tenant function (requests past the
-    /// gate always match; O(1) on the registry's key table).
-    fn tenancy_func(&self, payload: &[u8]) -> Option<FnId> {
-        self.tenancy
-            .as_ref()
-            .filter(|t| t.enabled())
-            .and_then(|t| t.match_request(payload))
+    /// Write-through invalidation of a namespaced key on every lane,
+    /// counted in `cache.invalidations` per fresh entry marked stale.
+    /// The fill leases listed in `keep` as `(lane, token)` survive.
+    fn invalidate_everywhere(&mut self, key: &[u8], keep: &[(usize, u64)]) {
+        let n: u64 = self
+            .caches
+            .iter_mut()
+            .enumerate()
+            .map(|(lane, c)| {
+                let token = keep.iter().find(|(l, _)| *l == lane).map(|&(_, t)| t);
+                u64::from(c.invalidate_keeping(key, token))
+            })
+            .sum();
+        if n > 0 {
+            self.sites
+                .cache_invalidations
+                .add(&self.stats, "cache.invalidations", n);
+        }
     }
 
-    /// Releases one in-flight tenancy slot for the function behind
-    /// `payload` (request answered at the SNIC, dropped or rejected).
-    fn tenancy_complete_payload(&mut self, payload: &[u8]) {
-        let Some(func) = self.tenancy_func(payload) else {
-            return;
-        };
-        if let Some(t) = self.tenancy.as_mut() {
-            t.complete(func);
+    /// Settles the context of one slot collected from `mq`, exactly once
+    /// and in order: the control plane's dispatch→collection latency
+    /// sample, then the cache ticket (fill or abandon a GET miss's lease;
+    /// invalidate a SET's key again before its reply leaves), then the
+    /// tenant's in-flight slot. Returns the reply to send — `None` when
+    /// the transport gave up on the response, which counts the context in
+    /// `server.path_resets` (unless quarantine already released it).
+    fn settle(
+        &mut self,
+        now: Time,
+        service: ServiceId,
+        mq: &Mqueue,
+        ctx: ReqCtx,
+        payload: Option<Payload>,
+    ) -> Option<(ReturnAddr, Payload)> {
+        match (ctx.dispatched_at, &payload) {
+            (Some(t0), Some(_)) if self.control.enabled => {
+                self.services[service.0].control.latency.record(now - t0);
+            }
+            (Some(_), None) => self
+                .sites
+                .path_resets
+                .add(&self.stats, "server.path_resets", 1),
+            _ => {}
         }
-        self.sync_tenancy();
+        match ctx.ticket {
+            Some(CacheTicket::Fill { lane, key, token }) => {
+                let value = payload.as_ref().filter(|p| {
+                    self.protocol
+                        .as_ref()
+                        .is_some_and(|proto| proto.cacheable_response(p))
+                });
+                match value {
+                    // Admitted only while the lease issued at miss time is
+                    // still current: a racing SET (or a newer miss for the
+                    // key) voided it.
+                    Some(v) => {
+                        if self.caches[lane].fill_leased(&key, v, token) {
+                            self.sites.cache_fills.add(&self.stats, "cache.fills", 1);
+                        }
+                    }
+                    None => self.caches[lane].abandon_fill(&key, token),
+                }
+            }
+            Some(CacheTicket::Set(key)) => {
+                // About to acknowledge the SET: invalidate its key again.
+                // A GET dispatched after the dispatch-time invalidation
+                // may have run ahead of the SET on another mqueue, and
+                // filled the old value or holds the lease to fill it. A
+                // GET still queued behind the SET on `mq` runs after it
+                // (an mqueue serves in order), so its lease stands.
+                let mut behind = Vec::new();
+                mq.for_each_in_flight(|c| match &c.ticket {
+                    Some(CacheTicket::Fill {
+                        lane,
+                        key: k,
+                        token,
+                    }) if *k == key => {
+                        behind.push((*lane, *token));
+                    }
+                    _ => {}
+                });
+                self.invalidate_everywhere(&key, &behind);
+            }
+            None => {}
+        }
+        self.release(None, ctx.func);
+        payload.map(|p| (ctx.ret, p))
     }
 
-    /// Mirrors the tenancy runtime's cumulative stats into the interned
-    /// `tenancy.*` telemetry sites. Delta-based against the last snapshot,
-    /// so it can run at every gate/complete site and counters stay
-    /// monotonic and exact.
-    fn sync_tenancy(&mut self) {
-        let Some(cur) = self.tenancy.as_ref().map(Tenancy::stats) else {
-            return;
-        };
-        let prev = self.tenancy_seen;
-        if cur == prev {
-            return;
-        }
-        let sites = &self.sites;
-        let stats = &self.stats;
-        if cur.matched > prev.matched {
-            sites
-                .tenancy_matched
-                .add(stats, "tenancy.matched", cur.matched - prev.matched);
-        }
-        if cur.unmatched > prev.unmatched {
-            sites
-                .tenancy_unmatched
-                .add(stats, "tenancy.unmatched", cur.unmatched - prev.unmatched);
-        }
-        if cur.shed > prev.shed {
-            sites
-                .tenancy_shed
-                .add(stats, "tenancy.shed", cur.shed - prev.shed);
-        }
-        if cur.cold_starts > prev.cold_starts {
-            sites.tenancy_cold.add(
-                stats,
-                "tenancy.cold_starts",
-                cur.cold_starts - prev.cold_starts,
+    /// Publishes the `cache.bytes` gauge (cache-enabled servers only).
+    fn publish_cache_bytes(&self) {
+        if self.cache_cfg.enabled {
+            let bytes: usize = self.caches.iter().map(SnicCache::bytes).sum();
+            self.sites.cache_bytes.set_with(
+                &self.stats,
+                || "cache.bytes".to_string(),
+                bytes as f64,
             );
         }
-        if cur.evictions > prev.evictions {
-            sites
-                .tenancy_evictions
-                .add(stats, "tenancy.evictions", cur.evictions - prev.evictions);
+    }
+
+    /// Releases what the in-flight requests of a quarantined queue hold —
+    /// fill leases and tenant slots — so a crashed accelerator can hold
+    /// up neither a key's lease nor residency eviction. Each context is
+    /// released once and counted in `server.path_resets`; a response that
+    /// still arrives after readmission is replied to but settles nothing
+    /// twice. A SET keeps its ticket: should it still run, its key is
+    /// invalidated again when its reply leaves.
+    fn release_in_flight(&mut self, mq: &Mqueue) {
+        let mut released = 0u64;
+        mq.for_each_in_flight(|ctx| {
+            if ctx.dispatched_at.take().is_none() {
+                return;
+            }
+            released += 1;
+            let fill = ctx
+                .ticket
+                .take_if(|t| matches!(t, CacheTicket::Fill { .. }));
+            self.release(fill, ctx.func.take());
+        });
+        if released > 0 {
+            self.sites
+                .path_resets
+                .add(&self.stats, "server.path_resets", released);
         }
-        if cur.evictions_deferred > prev.evictions_deferred {
-            sites.tenancy_deferred.add(
-                stats,
-                "tenancy.evictions_deferred",
-                cur.evictions_deferred - prev.evictions_deferred,
-            );
-        }
-        sites.tenancy_resident_fns.set_with(
-            stats,
-            || "tenancy.resident_fns".to_string(),
-            cur.resident_fns as f64,
-        );
-        sites.tenancy_resident_bytes.set_with(
-            stats,
-            || "tenancy.resident_bytes".to_string(),
-            cur.resident_bytes as f64,
-        );
-        self.tenancy_seen = cur;
     }
 }
 
 /// Outcome of the tenancy match-action gate for one request.
 enum TenancyGate {
-    /// No stage installed, or matched a warm admitted function: dispatch
-    /// proceeds immediately.
-    Pass,
+    /// No stage installed (`None`), or matched a warm admitted function:
+    /// dispatch proceeds immediately.
+    Pass(Option<FnId>),
     /// Matched a cold (or still-warming) function: dispatch proceeds
     /// after this warm-up delay elapses on the simulated clock.
-    Warm(Duration),
+    Warm(Duration, FnId),
     /// Unmatched, or over the tenant's quota: answer with the empty
     /// shed marker and stop.
     Shed,
@@ -561,6 +569,12 @@ impl LynxServer {
         let core_dispatched = (0..pipeline.snic_cores)
             .map(|_| SiteCounter::new())
             .collect();
+        let mut tenancy = tenancy;
+        if let Some(t) = tenancy.as_mut() {
+            // Count each `tenancy.*` event once, straight into the
+            // server's registry.
+            t.bind_stats(&stats);
+        }
         let caches = if cache_cfg.enabled {
             (0..pipeline.snic_cores)
                 .map(|_| SnicCache::new(cache_cfg.bytes_per_lane))
@@ -589,7 +603,6 @@ impl LynxServer {
                 caches,
                 snic_kernel,
                 tenancy,
-                tenancy_seen: TenancyStats::default(),
             })),
         }
     }
@@ -613,7 +626,7 @@ impl LynxServer {
     }
 
     pub(crate) fn inner_add_server_mqueue(&self, service: ServiceId, accel: usize, mq: Mqueue) {
-        let (rmq, fwd_core, qi) = {
+        let (rmq, fwd_core) = {
             let mut inner = self.inner.borrow_mut();
             // Forwarder ownership: mqueues round-robin across the pipeline
             // cores by registration order, so each core polls its own
@@ -630,12 +643,8 @@ impl LynxServer {
             svc.health.push(QueueHealth {
                 last_responses: 0,
                 last_progress: Time::ZERO,
-                path_lost: false,
             });
-            svc.control.pending.push(VecDeque::new());
-            svc.path.push(VecDeque::new());
-            svc.tfifo.push(VecDeque::new());
-            (rmq, fwd_core, svc.mqs.len() - 1)
+            (rmq, fwd_core)
         };
         let this = self.clone();
         let mq2 = mq.clone();
@@ -646,7 +655,6 @@ impl LynxServer {
             this.on_response_ready(
                 sim,
                 service,
-                qi,
                 mq2.clone(),
                 Rc::clone(&rmq),
                 Rc::clone(&gate),
@@ -829,8 +837,8 @@ impl LynxServer {
     }
 
     /// Counters of the tenancy match-action stage (zeroed when no stage
-    /// is installed). The same values are mirrored into the `tenancy.*`
-    /// telemetry counters.
+    /// is installed), read from the `tenancy.*` counters of the telemetry
+    /// registry.
     pub fn tenancy_stats(&self) -> TenancyStats {
         self.inner
             .borrow()
@@ -838,6 +846,16 @@ impl LynxServer {
             .as_ref()
             .map(Tenancy::stats)
             .unwrap_or_default()
+    }
+
+    /// Accelerator slots a registered tenant function holds in flight
+    /// right now (0 when no tenancy stage is installed).
+    pub fn tenancy_in_flight(&self, func: FnId) -> usize {
+        self.inner
+            .borrow()
+            .tenancy
+            .as_ref()
+            .map_or(0, |t| t.in_flight(func))
     }
 
     /// Whether a registered tenant function currently holds accelerator
@@ -870,17 +888,6 @@ impl LynxServer {
         )
     }
 
-    /// p99 of the dispatch→collect latency over requests that took the
-    /// accelerator (miss) path, when
-    /// [`CacheConfig::track_path_latency`] is on. `None` before any
-    /// such request completed. Cache-on and cache-off runs can compare
-    /// this tail like-for-like: cache hits never enter it.
-    pub fn miss_path_p99(&self, service: ServiceId) -> Option<Duration> {
-        let inner = self.inner.borrow();
-        assert!(service.0 < inner.services.len(), "unknown service id");
-        inner.services[service.0].miss_path.try_percentile(99.0)
-    }
-
     /// Number of currently quarantined mqueues across all services.
     pub fn quarantined_queues(&self) -> usize {
         self.inner
@@ -909,15 +916,17 @@ impl LynxServer {
     // --- SNIC-resident hot-key cache & compute offload -------------------
 
     /// Dispatch-stage cache consult for one request on lane `lane`
-    /// (before any mqueue slot or RDMA verb is allocated). Lookup and
-    /// fill bookkeeping are folded into the already-charged dispatch
-    /// cost: the cache lives in the dispatcher's working set, so the
-    /// simulation charges no separate time for it.
+    /// (before any mqueue slot or RDMA verb is allocated), admitted by
+    /// the tenancy stage as `func`. Lookup and fill bookkeeping are
+    /// folded into the already-charged dispatch cost: the cache lives in
+    /// the dispatcher's working set, so the simulation charges no
+    /// separate time for it.
     fn consult_cache(
         inner: &mut Inner,
         service: ServiceId,
         lane: usize,
         payload: &[u8],
+        func: Option<FnId>,
     ) -> CacheOutcome {
         if !inner.cache_cfg.enabled {
             return CacheOutcome::Miss(None);
@@ -925,17 +934,8 @@ impl LynxServer {
         let Some(protocol) = inner.protocol.clone() else {
             return CacheOutcome::Miss(None);
         };
-        // Tenancy composition: a matched function either partitions the
-        // cache under its own key namespace or bypasses it entirely.
-        let func = inner.tenancy_func(payload);
-        if let Some(f) = func {
-            let bypass = inner
-                .tenancy
-                .as_ref()
-                .is_some_and(|t| t.registry().spec(f).cache == TenantCacheMode::Bypass);
-            if bypass {
-                return CacheOutcome::Miss(None);
-            }
+        if inner.bypasses_cache(func) {
+            return CacheOutcome::Miss(None);
         }
         match protocol.classify(payload) {
             CacheOp::Get(key) => {
@@ -957,11 +957,14 @@ impl LynxServer {
                         // While another miss for the key is in flight no
                         // lease is granted — this response is served but
                         // not cached.
-                        let fill = inner.caches[lane].begin_fill(&ckey).map(|token| FillSlot {
-                            lane,
-                            key: ckey,
-                            token,
-                        });
+                        let fill =
+                            inner.caches[lane]
+                                .begin_fill(&ckey)
+                                .map(|token| CacheTicket::Fill {
+                                    lane,
+                                    key: ckey,
+                                    token,
+                                });
                         CacheOutcome::Miss(fill)
                     }
                 }
@@ -969,68 +972,15 @@ impl LynxServer {
             CacheOp::Set(key) => {
                 // Write-through: the SET still goes to the accelerator;
                 // every lane's cached copy goes stale immediately, so no
-                // fresh read can observe the overwritten value.
+                // fresh read can observe the overwritten value. Its
+                // ticket invalidates again when the SET's reply leaves:
+                // a GET dispatched after this point may still run ahead
+                // of the SET on another mqueue and fill the old value.
                 let ckey = cache_key(service, func, &key);
-                let mut n = 0u64;
-                for c in inner.caches.iter_mut() {
-                    if c.invalidate(&ckey) {
-                        n += 1;
-                    }
-                }
-                if n > 0 {
-                    inner
-                        .sites
-                        .cache_invalidations
-                        .add(&inner.stats, "cache.invalidations", n);
-                }
-                CacheOutcome::Miss(None)
+                inner.invalidate_everywhere(&ckey, &[]);
+                CacheOutcome::Miss(Some(CacheTicket::Set(ckey)))
             }
             CacheOp::Other => CacheOutcome::Miss(None),
-        }
-    }
-
-    /// Releases a leased fill slot whose response will never arrive
-    /// (request dropped, offloaded, rejected by the transport, or its
-    /// path entry discarded). A no-op for non-cacheable requests.
-    fn release_fill(inner: &mut Inner, fill: Option<FillSlot>) {
-        if let Some(f) = fill {
-            inner.caches[f.lane].abandon_fill(&f.key, f.token);
-        }
-    }
-
-    /// Discards all request↔response matching state for queue `qi` of
-    /// service `i` and taints the queue: entries already recorded can no
-    /// longer be trusted to line up with the responses still in flight,
-    /// so matching stays suspended (no new entries recorded, collected
-    /// responses unmatched) until the queue fully drains — the only
-    /// point where the FIFO pairing is known-good again.
-    fn reset_queue_path(inner: &mut Inner, i: usize, qi: usize) {
-        let svc = &mut inner.services[i];
-        let was_tainted = svc.health[qi].path_lost;
-        let fills: Vec<Option<FillSlot>> = svc.path[qi].drain(..).map(|e| e.fill).collect();
-        svc.control.pending[qi].clear();
-        // Orphaned tenant dispatches can no longer be paired with their
-        // completions: release their in-flight slots now so residency
-        // eviction is not wedged by a desynced queue.
-        let funcs: Vec<u32> = svc
-            .tfifo
-            .get_mut(qi)
-            .map(|q| q.drain(..).collect())
-            .unwrap_or_default();
-        svc.health[qi].path_lost = true;
-        for fill in fills {
-            Self::release_fill(inner, fill);
-        }
-        if !funcs.is_empty() {
-            if let Some(t) = inner.tenancy.as_mut() {
-                for f in funcs {
-                    t.complete(FnId(f));
-                }
-            }
-            inner.sync_tenancy();
-        }
-        if !was_tainted {
-            inner.stats.count("server.path_resets", 1);
         }
     }
 
@@ -1063,18 +1013,16 @@ impl LynxServer {
             let CacheOp::Get(k) = protocol.classify(payload) else {
                 return false;
             };
-            // Tenancy composition mirrors the normal consult: a bypass
-            // function never gets stale answers; partitioned functions
-            // look up under their own namespace.
-            let func = inner.tenancy_func(payload);
-            if let Some(f) = func {
-                let bypass = inner
-                    .tenancy
-                    .as_ref()
-                    .is_some_and(|t| t.registry().spec(f).cache == TenantCacheMode::Bypass);
-                if bypass {
-                    return false;
-                }
+            // Tenancy composition mirrors the normal consult. Degraded
+            // hits are answered ahead of the tenancy gate, so this is the
+            // match stage's lookup, not a re-parse.
+            let func = inner
+                .tenancy
+                .as_ref()
+                .filter(|t| t.enabled())
+                .and_then(|t| t.match_request(payload));
+            if inner.bypasses_cache(func) {
+                return false;
             }
             let ckey = cache_key(service, func, &k);
             let lane = inner.pipeline.config().shard_of(key);
@@ -1191,32 +1139,33 @@ impl LynxServer {
         // λ-NIC match-action stage: match the payload to a registered
         // tenant function and enforce its quota and residency — after the
         // service-wide token bucket, before any dispatch cost.
-        match self.tenancy_gate(sim, service, &payload) {
-            TenancyGate::Pass => {}
+        let func = match self.tenancy_gate(sim, service, &payload) {
+            TenancyGate::Pass(func) => func,
             TenancyGate::Shed => {
                 // Unmatched or over the tenant's quota: the empty reply is
                 // the same shed marker admission control uses.
                 self.send_reply(sim, service, ret, Payload::from(Vec::new()));
                 return;
             }
-            TenancyGate::Warm(delay) => {
+            TenancyGate::Warm(delay, func) => {
                 // Cold start: the function's state loads on the
                 // accelerator for `delay`; dispatch proceeds once warm.
                 // Pure simulated wall time — no SNIC core is held.
                 let this = self.clone();
                 sim.schedule_in(delay, move |sim| {
-                    this.dispatch_admitted(sim, service, ret, key, payload);
+                    this.dispatch_admitted(sim, service, ret, key, payload, Some(func));
                 });
                 return;
             }
-        }
-        self.dispatch_admitted(sim, service, ret, key, payload);
+        };
+        self.dispatch_admitted(sim, service, ret, key, payload, func);
     }
 
     /// The post-admission half of the request path: stage into the
     /// batched pipeline or charge the legacy immediate dispatch. Split
     /// from [`Self::on_request`] so a cold start can delay exactly this
-    /// part.
+    /// part. `func` is the tenant function the gate admitted the request
+    /// as; it travels with the request instead of being matched again.
     fn dispatch_admitted(
         &self,
         sim: &mut Sim,
@@ -1224,6 +1173,7 @@ impl LynxServer {
         ret: ReturnAddr,
         key: u64,
         payload: Payload,
+        func: Option<FnId>,
     ) {
         let (batched, stack, cost) = {
             let inner = self.inner.borrow();
@@ -1239,7 +1189,7 @@ impl LynxServer {
             // exact pre-pipeline event sequence.
             let this = self.clone();
             stack.charge(sim, cost, move |sim| {
-                this.dispatch_now(sim, service, ret, key, payload);
+                this.dispatch_now(sim, service, ret, key, payload, func);
             });
             return;
         }
@@ -1255,6 +1205,7 @@ impl LynxServer {
                     ret,
                     key,
                     payload,
+                    func,
                 },
             );
             (core, start)
@@ -1322,15 +1273,12 @@ impl LynxServer {
     /// `k` requests to one queue costs one doorbell, not `k`.
     fn dispatch_batch(&self, sim: &mut Sim, core: usize, batch: Vec<StagedRequest>) {
         struct Group {
-            service: ServiceId,
-            qi: usize,
             rmq: Rc<RemoteMqManager>,
             mq: Mqueue,
             items: Vec<(ReturnAddr, Payload)>,
-            fills: Vec<Option<FillSlot>>,
-            // Tenant function behind each item, resolved before payload
-            // ownership moves to the transport.
-            funcs: Vec<Option<FnId>>,
+            // What each item holds until its context is attached: its
+            // cache ticket and tenant function.
+            held: Vec<(Option<CacheTicket>, Option<FnId>)>,
         }
         let mut groups: Vec<Group> = Vec::new();
         let mut traces: Vec<(&'static str, Option<String>)> = Vec::new();
@@ -1345,65 +1293,62 @@ impl LynxServer {
             for req in batch {
                 // The staged batch all sharded here by key, so this
                 // core's private cache is the request's cache lane.
-                match Self::consult_cache(&mut inner, req.service, core, &req.payload) {
+                let ticket = match Self::consult_cache(
+                    &mut inner,
+                    req.service,
+                    core,
+                    &req.payload,
+                    req.func,
+                ) {
                     CacheOutcome::Hit(resp) => {
                         // Answered at the SNIC: release the tenant's
                         // in-flight slot here, nothing will complete it.
-                        inner.tenancy_complete_payload(&req.payload);
+                        inner.release(None, req.func);
                         hits.push((req.service, req.ret, resp));
                         continue;
                     }
-                    CacheOutcome::Miss(fill) => {
-                        if let Some((resp, work)) =
-                            Self::try_offload(&mut inner, req.service, &req.payload)
-                        {
-                            // The kernel answers instead of the
-                            // accelerator: no response will fill.
-                            Self::release_fill(&mut inner, fill);
-                            inner.tenancy_complete_payload(&req.payload);
-                            offload_work += work;
-                            offloads.push((req.service, req.ret, resp));
-                            continue;
-                        }
-                        let func = inner.tenancy_func(&req.payload);
-                        let i = req.service.0;
-                        let svc = &mut inner.services[i];
-                        let policy = svc.dispatcher.policy().name();
-                        let picked = svc
-                            .dispatcher
-                            .pick(&svc.mqs, req.key)
-                            .map(|qi| (qi, Rc::clone(&svc.owners[qi]), svc.mqs[qi].clone()));
-                        Self::count_dispatch(&inner, i, policy, picked.is_some());
-                        match picked {
-                            Some((qi, rmq, mq)) => {
-                                let label = mq.label();
-                                traces.push((policy, Some(label.clone())));
-                                match groups.iter_mut().find(|g| g.mq.label() == label) {
-                                    Some(g) => {
-                                        g.items.push((req.ret, req.payload));
-                                        g.fills.push(fill);
-                                        g.funcs.push(func);
-                                    }
-                                    None => groups.push(Group {
-                                        service: req.service,
-                                        qi,
-                                        rmq,
-                                        mq,
-                                        items: vec![(req.ret, req.payload)],
-                                        fills: vec![fill],
-                                        funcs: vec![func],
-                                    }),
-                                }
+                    CacheOutcome::Miss(ticket) => ticket,
+                };
+                if let Some((resp, work)) = Self::try_offload(&mut inner, req.service, &req.payload)
+                {
+                    // The kernel answers instead of the accelerator: no
+                    // response will fill.
+                    inner.release(ticket, req.func);
+                    offload_work += work;
+                    offloads.push((req.service, req.ret, resp));
+                    continue;
+                }
+                let i = req.service.0;
+                let svc = &mut inner.services[i];
+                let policy = svc.dispatcher.policy().name();
+                let picked = svc
+                    .dispatcher
+                    .pick(&svc.mqs, req.key)
+                    .map(|qi| (Rc::clone(&svc.owners[qi]), svc.mqs[qi].clone()));
+                Self::count_dispatch(&inner, i, policy, picked.is_some());
+                match picked {
+                    Some((rmq, mq)) => {
+                        let label = mq.label();
+                        traces.push((policy, Some(label.clone())));
+                        match groups.iter_mut().find(|g| g.mq.label() == label) {
+                            Some(g) => {
+                                g.items.push((req.ret, req.payload));
+                                g.held.push((ticket, req.func));
                             }
-                            None => {
-                                // Dropped (all queues full): no response
-                                // will ever fill the leased slot or
-                                // complete the tenant's dispatch.
-                                Self::release_fill(&mut inner, fill);
-                                inner.tenancy_complete_payload(&req.payload);
-                                traces.push((policy, None));
-                            }
+                            None => groups.push(Group {
+                                rmq,
+                                mq,
+                                items: vec![(req.ret, req.payload)],
+                                held: vec![(ticket, req.func)],
+                            }),
                         }
+                    }
+                    None => {
+                        // Dropped (all queues full): no response will ever
+                        // fill the leased slot or complete the tenant's
+                        // dispatch.
+                        inner.release(ticket, req.func);
+                        traces.push((policy, None));
                     }
                 }
             }
@@ -1440,25 +1385,14 @@ impl LynxServer {
             // machinery); a failed item never aborts the batch.
             let results = g.rmq.push_requests(sim, &g.mq, g.items);
             let now = sim.now();
-            let mut accepted = 0;
-            for ((result, fill), func) in results.iter().zip(g.fills).zip(g.funcs) {
-                if result.is_ok() {
-                    accepted += 1;
-                    self.note_path(now, g.service, g.qi, fill);
-                    self.note_tenancy(g.service, g.qi, func);
-                } else {
-                    // Rejected by backpressure/transport: the leased slot
-                    // will never see a response, and no completion will
-                    // release the tenant's in-flight slot.
-                    let mut inner = self.inner.borrow_mut();
-                    Self::release_fill(&mut inner, fill);
-                    if let (Some(f), Some(t)) = (func, inner.tenancy.as_mut()) {
-                        t.complete(f);
-                    }
-                    inner.sync_tenancy();
+            for (result, (ticket, func)) in results.into_iter().zip(g.held) {
+                match result {
+                    Ok(seq) => g.mq.attach(seq, now, ticket, func),
+                    // Rejected by backpressure: the request never got a
+                    // slot, so what it holds is released here.
+                    Err(_) => self.inner.borrow_mut().release(ticket, func),
                 }
             }
-            self.note_dispatched(now, g.service, g.qi, accepted);
         }
     }
 
@@ -1495,51 +1429,38 @@ impl LynxServer {
         ret: ReturnAddr,
         key: u64,
         payload: Payload,
+        func: Option<FnId>,
     ) {
-        enum Fast {
-            CacheHit(Payload),
-            Offload(Payload, Duration),
-        }
-        let (fast, fill) = {
+        let ticket = {
             let mut inner = self.inner.borrow_mut();
             let lane = inner.pipeline.config().shard_of(key);
-            match Self::consult_cache(&mut inner, service, lane, &payload) {
-                CacheOutcome::Hit(resp) => (Some(Fast::CacheHit(resp)), None),
-                CacheOutcome::Miss(fill) => {
-                    match Self::try_offload(&mut inner, service, &payload) {
-                        Some((resp, work)) => {
-                            // The kernel answers instead of the
-                            // accelerator: no response will fill.
-                            Self::release_fill(&mut inner, fill);
-                            (Some(Fast::Offload(resp, work)), None)
-                        }
-                        None => (None, fill),
-                    }
+            let ticket = match Self::consult_cache(&mut inner, service, lane, &payload, func) {
+                CacheOutcome::Hit(resp) => {
+                    // A hit replies straight from the SNIC: no mqueue
+                    // slot, no RDMA verb, no forward cycle, and no
+                    // completion to release the tenant's slot.
+                    inner.release(None, func);
+                    drop(inner);
+                    self.send_reply(sim, service, ret, resp);
+                    return;
                 }
-            }
-        };
-        match fast {
-            Some(Fast::CacheHit(resp)) => {
-                // A hit replies straight from the SNIC: no mqueue slot,
-                // no RDMA verb, no forward cycle. The tenant's in-flight
-                // slot is released here — no completion will arrive.
-                self.inner.borrow_mut().tenancy_complete_payload(&payload);
-                self.send_reply(sim, service, ret, resp);
-                return;
-            }
-            Some(Fast::Offload(resp, work)) => {
-                // The kernel runs on the shared core pool (the unbatched
-                // path charges there too), then replies directly.
-                self.inner.borrow_mut().tenancy_complete_payload(&payload);
-                let stack = self.inner.borrow().stack.clone();
+                CacheOutcome::Miss(ticket) => ticket,
+            };
+            if let Some((resp, work)) = Self::try_offload(&mut inner, service, &payload) {
+                // The kernel answers instead of the accelerator, on the
+                // shared core pool (the unbatched path charges there
+                // too), then replies directly: no response will fill.
+                inner.release(ticket, func);
+                let stack = inner.stack.clone();
+                drop(inner);
                 let this = self.clone();
                 stack.charge(sim, work, move |sim| {
                     this.send_reply(sim, service, ret, resp);
                 });
                 return;
             }
-            None => {}
-        }
+            ticket
+        };
         let (policy, picked) = {
             let mut inner = self.inner.borrow_mut();
             let svc = &mut inner.services[service.0];
@@ -1547,12 +1468,12 @@ impl LynxServer {
             let picked = svc
                 .dispatcher
                 .pick(&svc.mqs, key)
-                .map(|i| (i, Rc::clone(&svc.owners[i]), svc.mqs[i].clone()));
+                .map(|i| (Rc::clone(&svc.owners[i]), svc.mqs[i].clone()));
             Self::count_dispatch(&inner, service.0, policy, picked.is_some());
             (policy, picked)
         };
         match picked {
-            Some((qi, rmq, mq)) => {
+            Some((rmq, mq)) => {
                 sim.trace(|| TraceEvent::Dispatch {
                     policy,
                     queue: Some(mq.label()),
@@ -1560,17 +1481,9 @@ impl LynxServer {
                 // The dispatcher checked for room, so backpressure here is
                 // impossible; a transport give-up (faults) is counted by
                 // the retry machinery and surfaces as a lost UDP request.
-                if rmq.push_request(sim, &mq, ret, &payload, |_, _| {}).is_ok() {
-                    self.note_dispatched(sim.now(), service, qi, 1);
-                    self.note_path(sim.now(), service, qi, fill);
-                    let func = self.inner.borrow().tenancy_func(&payload);
-                    self.note_tenancy(service, qi, func);
-                } else {
-                    let mut inner = self.inner.borrow_mut();
-                    Self::release_fill(&mut inner, fill);
-                    // Rejected by the transport: no completion will
-                    // release the tenant slot.
-                    inner.tenancy_complete_payload(&payload);
+                match rmq.push_request(sim, &mq, ret, &payload, |_, _| {}) {
+                    Ok(seq) => mq.attach(seq, sim.now(), ticket, func),
+                    Err(_) => self.inner.borrow_mut().release(ticket, func),
                 }
             }
             None => {
@@ -1580,9 +1493,7 @@ impl LynxServer {
                 });
                 // Dropped (all queues full): no response will ever fill
                 // the leased slot or complete the tenant's dispatch.
-                let mut inner = self.inner.borrow_mut();
-                Self::release_fill(&mut inner, fill);
-                inner.tenancy_complete_payload(&payload);
+                self.inner.borrow_mut().release(ticket, func);
             }
         }
     }
@@ -1594,12 +1505,10 @@ impl LynxServer {
         inner.costs.poll_rtt_per_mqueue * Self::total_mqueues(inner) / 2
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn on_response_ready(
         &self,
         sim: &mut Sim,
         service: ServiceId,
-        qi: usize,
         mq: Mqueue,
         rmq: Rc<RemoteMqManager>,
         gate: Rc<Cell<bool>>,
@@ -1631,11 +1540,17 @@ impl LynxServer {
             sim.schedule_in(detect, move |sim| {
                 stack.charge(sim, cost, move |sim| {
                     let this2 = this.clone();
-                    rmq.pull_response(sim, &mq, move |sim, ret, payload| {
-                        let collected = [(ret, payload)];
-                        this2.on_collected(sim.now(), service, qi, &collected);
-                        let [(ret, payload)] = collected;
-                        this2.send_reply(sim, service, ret, payload);
+                    let mq2 = mq.clone();
+                    rmq.pull_response(sim, &mq, move |sim, ctx, payload| {
+                        let reply = {
+                            let mut inner = this2.inner.borrow_mut();
+                            let reply = inner.settle(sim.now(), service, &mq2, ctx, payload);
+                            inner.publish_cache_bytes();
+                            reply
+                        };
+                        if let Some((ret, payload)) = reply {
+                            this2.send_reply(sim, service, ret, payload);
+                        }
                     });
                 });
             });
@@ -1644,7 +1559,7 @@ impl LynxServer {
         gate.set(true);
         let this = self.clone();
         sim.schedule_in(detect, move |sim| {
-            this.forward_batch(sim, service, qi, mq, rmq, gate, core);
+            this.forward_batch(sim, service, mq, rmq, gate, core);
         });
     }
 
@@ -1652,12 +1567,10 @@ impl LynxServer {
     /// charge the amortized forward cost for everything pending (up to the
     /// batch limit), collect it as one chained RDMA read, reply in one
     /// batched stack invocation, then re-arm if responses kept arriving.
-    #[allow(clippy::too_many_arguments)]
     fn forward_batch(
         &self,
         sim: &mut Sim,
         service: ServiceId,
-        qi: usize,
         mq: Mqueue,
         rmq: Rc<RemoteMqManager>,
         gate: Rc<Cell<bool>>,
@@ -1688,14 +1601,23 @@ impl LynxServer {
             let this2 = this.clone();
             let mq2 = mq.clone();
             let rmq2 = Rc::clone(&rmq);
-            rmq.pull_responses(sim, &mq, k, move |sim, responses| {
-                this2.on_collected(sim.now(), service, qi, &responses);
-                this2.send_replies(sim, service, responses);
+            rmq.pull_responses(sim, &mq, k, move |sim, collected| {
+                let replies = {
+                    let mut inner = this2.inner.borrow_mut();
+                    let now = sim.now();
+                    let replies = collected
+                        .into_iter()
+                        .filter_map(|(ctx, payload)| inner.settle(now, service, &mq2, ctx, payload))
+                        .collect();
+                    inner.publish_cache_bytes();
+                    replies
+                };
+                this2.send_replies(sim, service, replies);
                 gate.set(false);
                 if mq2.pending_responses() > 0 {
                     // More responses landed while this cycle ran: start
                     // the next one (fresh detection delay).
-                    this2.on_response_ready(sim, service, qi, mq2.clone(), rmq2, gate, core);
+                    this2.on_response_ready(sim, service, mq2.clone(), rmq2, gate, core);
                 }
             });
         });
@@ -1821,7 +1743,12 @@ impl LynxServer {
         let this = self.clone();
         let stack2 = stack.clone();
         stack.charge(sim, cost, move |sim| {
-            rmq.pull_response(sim, &mq, move |sim, _ret, payload| {
+            rmq.pull_response(sim, &mq, move |sim, _ctx, payload| {
+                // A call the transport gave up on is lost, like a dropped
+                // packet.
+                let Some(payload) = payload else {
+                    return;
+                };
                 {
                     let inner = this.inner.borrow();
                     inner
@@ -1886,8 +1813,8 @@ impl LynxServer {
             let threshold = inner.recovery.stall_threshold;
             let stats = inner.stats.clone();
             let mut live_work = false;
-            let mut resets: Vec<(usize, usize)> = Vec::new();
-            for (i, svc) in inner.services.iter_mut().enumerate() {
+            let mut quarantined: Vec<Mqueue> = Vec::new();
+            for svc in inner.services.iter_mut() {
                 for qi in 0..svc.mqs.len() {
                     let mq = &svc.mqs[qi];
                     let responses = mq.responses();
@@ -1897,10 +1824,6 @@ impl LynxServer {
                     if progressed || in_flight == 0 {
                         h.last_responses = responses;
                         h.last_progress = now;
-                    }
-                    if in_flight == 0 && h.path_lost {
-                        // Fully drained: FIFO pairing is back in sync.
-                        h.path_lost = false;
                     }
                     if svc.dispatcher.is_quarantined(qi) {
                         // Re-admit on any sign of life: new responses, or a
@@ -1920,18 +1843,16 @@ impl LynxServer {
                         svc.dispatcher.quarantine(qi);
                         stats.count("dispatch.quarantined", 1);
                         acts.push(Act::Quarantine(mq.label()));
-                        // A quarantined queue may have dropped requests on
-                        // the floor (crash) — its recorded entries can no
-                        // longer be trusted to line up with whatever it
-                        // sends after readmission.
-                        resets.push((i, qi));
+                        // A quarantined queue may never answer (crash):
+                        // release what its in-flight requests hold.
+                        quarantined.push(mq.clone());
                     } else if in_flight > 0 {
                         live_work = true;
                     }
                 }
             }
-            for (i, qi) in resets {
-                Self::reset_queue_path(&mut inner, i, qi);
+            for mq in &quarantined {
+                inner.release_in_flight(mq);
             }
             if !live_work {
                 inner.monitor_armed = false;
@@ -1982,22 +1903,18 @@ impl LynxServer {
 
     /// Runs the λ-NIC match-action stage for one request: match the
     /// payload to a registered function, charge its quota and decide its
-    /// residency. Admitted requests hold one tenant in-flight slot until
-    /// a matching completion (see [`Self::note_tenancy`]).
+    /// residency. An admitted request holds one tenant in-flight slot,
+    /// released once when it leaves the server (collected, or through
+    /// [`Inner::release`]); the matched function travels with the
+    /// request.
     fn tenancy_gate(&self, sim: &Sim, service: ServiceId, payload: &Payload) -> TenancyGate {
         let mut inner = self.inner.borrow_mut();
-        if !inner.tenancy_on() {
-            return TenancyGate::Pass;
-        }
-        let now = sim.now();
-        let decision = inner
-            .tenancy
-            .as_mut()
-            .expect("tenancy_on() implies Some")
-            .decide(now, service.0, payload);
-        let gate = match decision {
-            Ok(a) if a.delay.is_zero() => TenancyGate::Pass,
-            Ok(a) => TenancyGate::Warm(a.delay),
+        let Some(tenancy) = inner.tenancy.as_mut().filter(|t| t.enabled()) else {
+            return TenancyGate::Pass(None);
+        };
+        match tenancy.decide(sim.now(), service.0, payload) {
+            Ok(a) if a.delay.is_zero() => TenancyGate::Pass(Some(a.func)),
+            Ok(a) => TenancyGate::Warm(a.delay, a.func),
             Err(e) => {
                 debug_assert!(matches!(
                     e,
@@ -2005,201 +1922,6 @@ impl LynxServer {
                 ));
                 TenancyGate::Shed
             }
-        };
-        inner.sync_tenancy();
-        gate
-    }
-
-    /// Records the tenant function behind one request accepted into queue
-    /// `qi`, so the in-order mqueue completion can release its in-flight
-    /// slot. Mirrors [`Self::note_path`]'s suspension rule: while
-    /// matching is suspended after a desync reset, the slot is released
-    /// immediately instead of recorded (the response cannot be paired).
-    fn note_tenancy(&self, service: ServiceId, qi: usize, func: Option<FnId>) {
-        let Some(func) = func else {
-            return;
-        };
-        let mut inner = self.inner.borrow_mut();
-        if !inner.tenancy_on() {
-            return;
-        }
-        let recorded = {
-            let svc = &mut inner.services[service.0];
-            if svc.health[qi].path_lost {
-                false
-            } else if let Some(q) = svc.tfifo.get_mut(qi) {
-                q.push_back(func.0);
-                true
-            } else {
-                false
-            }
-        };
-        if !recorded {
-            if let Some(t) = inner.tenancy.as_mut() {
-                t.complete(func);
-            }
-            inner.sync_tenancy();
-        }
-    }
-
-    /// Records the dispatch timestamps of `k` requests accepted into
-    /// queue `qi` (control plane only — the deques stay empty otherwise).
-    fn note_dispatched(&self, now: Time, service: ServiceId, qi: usize, k: usize) {
-        if k == 0 {
-            return;
-        }
-        let mut inner = self.inner.borrow_mut();
-        if !inner.control.enabled {
-            return;
-        }
-        let svc = &mut inner.services[service.0];
-        if svc.health[qi].path_lost {
-            // Matching is suspended until the queue drains.
-            return;
-        }
-        if let Some(q) = svc.control.pending.get_mut(qi) {
-            for _ in 0..k {
-                q.push_back(now);
-            }
-        }
-    }
-
-    /// Records the path entry of one request accepted into queue `qi`:
-    /// the dispatch timestamp and, for a cacheable GET miss, the cache
-    /// slot its response should fill. No-op unless the cache or
-    /// path-latency tracking needs it.
-    fn note_path(&self, now: Time, service: ServiceId, qi: usize, fill: Option<FillSlot>) {
-        let mut inner = self.inner.borrow_mut();
-        if !inner.track_path() {
-            Self::release_fill(&mut inner, fill);
-            return;
-        }
-        if inner.services[service.0].health[qi].path_lost {
-            // Matching is suspended until the queue drains: recording an
-            // entry now would pair it with one of the orphaned responses
-            // still in flight.
-            Self::release_fill(&mut inner, fill);
-            return;
-        }
-        let svc = &mut inner.services[service.0];
-        if qi < svc.path.len() {
-            svc.path[qi].push_back(PathEntry { at: now, fill });
-        } else {
-            Self::release_fill(&mut inner, fill);
-        }
-    }
-
-    /// Matches collected responses of queue `qi` against their dispatch
-    /// records (FIFO per queue — mqueue responses complete in order):
-    /// records the dispatch→collection latency into the control plane's
-    /// sliding window and the miss-path histogram, and populates the
-    /// cache from responses whose request was a cacheable GET miss —
-    /// "responses arriving on the forward path populate the cache".
-    fn on_collected(
-        &self,
-        now: Time,
-        service: ServiceId,
-        qi: usize,
-        responses: &[(ReturnAddr, Payload)],
-    ) {
-        let mut guard = self.inner.borrow_mut();
-        let inner = &mut *guard;
-        let control_on = inner.control.enabled;
-        let cache_on = inner.cache_cfg.enabled;
-        let track_hist = inner.cache_cfg.track_path_latency;
-        let track = cache_on || track_hist;
-        let tenancy_on = inner.tenancy_on();
-        if !control_on && !track && !tenancy_on {
-            return;
-        }
-        // Integrity: every accepted request records one entry and every
-        // collected response pops one, and the transport completes this
-        // batch before handing it over — so the deques must hold exactly
-        // in_flight + responses.len() entries right now. More means a
-        // response was discarded post-acceptance (transport give-up):
-        // popping would pair later responses with earlier requests and
-        // fill the cache under the wrong key. Reset and re-sync once the
-        // queue drains.
-        let lost = {
-            let svc = &inner.services[service.0];
-            let expected = svc.mqs[qi].in_flight() + responses.len();
-            svc.path.get(qi).is_some_and(|q| q.len() > expected)
-                || svc
-                    .control
-                    .pending
-                    .get(qi)
-                    .is_some_and(|q| q.len() > expected)
-                || svc.tfifo.get(qi).is_some_and(|q| q.len() > expected)
-        };
-        if lost {
-            Self::reset_queue_path(inner, service.0, qi);
-        }
-        let svc = &mut inner.services[service.0];
-        let caches = &mut inner.caches;
-        let protocol = inner.protocol.as_deref();
-        let mut fills = 0u64;
-        // Tenant functions completed by this batch (per-queue FIFO, like
-        // the path entries) — released after the borrow on `svc` ends.
-        let mut done_funcs: Vec<u32> = Vec::new();
-        for (_, payload) in responses {
-            if control_on {
-                if let Some(t0) = svc.control.pending.get_mut(qi).and_then(|q| q.pop_front()) {
-                    svc.control.latency.record(now - t0);
-                }
-            }
-            if tenancy_on {
-                if let Some(f) = svc.tfifo.get_mut(qi).and_then(|q| q.pop_front()) {
-                    done_funcs.push(f);
-                }
-            }
-            if track {
-                if let Some(entry) = svc.path.get_mut(qi).and_then(|q| q.pop_front()) {
-                    if track_hist {
-                        svc.miss_path.record(now - entry.at);
-                    }
-                    if cache_on {
-                        if let Some(f) = entry.fill {
-                            if protocol.is_some_and(|p| p.cacheable_response(payload)) {
-                                // Admitted only while the lease issued at
-                                // miss time is still current: a racing SET
-                                // (or a newer miss for the key) voided it.
-                                if caches[f.lane].fill_leased(&f.key, payload, f.token) {
-                                    fills += 1;
-                                }
-                            } else {
-                                caches[f.lane].abandon_fill(&f.key, f.token);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        // A drained queue is trivially back in sync: lift the matching
-        // suspension imposed by an earlier reset.
-        if svc.health[qi].path_lost && svc.mqs[qi].in_flight() == 0 {
-            svc.health[qi].path_lost = false;
-        }
-        if !done_funcs.is_empty() {
-            if let Some(t) = inner.tenancy.as_mut() {
-                for f in done_funcs {
-                    t.complete(FnId(f));
-                }
-            }
-            inner.sync_tenancy();
-        }
-        if fills > 0 {
-            inner
-                .sites
-                .cache_fills
-                .add(&inner.stats, "cache.fills", fills);
-        }
-        if cache_on {
-            let bytes: usize = inner.caches.iter().map(SnicCache::bytes).sum();
-            inner.sites.cache_bytes.set_with(
-                &inner.stats,
-                || "cache.bytes".to_string(),
-                bytes as f64,
-            );
         }
     }
 

@@ -41,7 +41,7 @@
 use std::collections::{BTreeSet, HashMap};
 use std::time::Duration;
 
-use lynx_sim::Time;
+use lynx_sim::{SiteCounter, SiteGauge, Telemetry, Time};
 
 use crate::control::TokenBucket;
 use crate::validate::invalid;
@@ -375,8 +375,9 @@ impl Validate for TenancyConfig {
 }
 
 /// Counters of the tenancy stage, read through
-/// [`LynxServer::tenancy_stats`](crate::LynxServer::tenancy_stats) (the
-/// same values are mirrored into the `tenancy.*` telemetry counters).
+/// [`LynxServer::tenancy_stats`](crate::LynxServer::tenancy_stats) or
+/// [`Tenancy::stats`] from the `tenancy.*` telemetry counters the stage
+/// counts into.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TenancyStats {
     /// Requests matched to a registered function.
@@ -436,6 +437,29 @@ pub struct Admission {
     pub cold: bool,
 }
 
+/// Interned handles for the `tenancy.*` counters and residency gauges.
+#[derive(Debug, Default)]
+struct TenancySites {
+    matched: SiteCounter,
+    unmatched: SiteCounter,
+    shed: SiteCounter,
+    cold_starts: SiteCounter,
+    evictions: SiteCounter,
+    evictions_deferred: SiteCounter,
+    resident_fns: SiteGauge,
+    resident_bytes: SiteGauge,
+}
+
+/// The `tenancy.*` counter names, in [`TenancyStats`] field order.
+const COUNTERS: [&str; 6] = [
+    "tenancy.matched",
+    "tenancy.unmatched",
+    "tenancy.shed",
+    "tenancy.cold_starts",
+    "tenancy.evictions",
+    "tenancy.evictions_deferred",
+];
+
 /// The tenancy runtime: registry + per-function admission and residency
 /// state. [`LynxServerBuilder::tenancy`](crate::LynxServerBuilder::tenancy)
 /// installs one on the server's dispatch stage; tests may also drive it
@@ -450,7 +474,11 @@ pub struct Tenancy {
     /// deterministic, unlike iterating a hash map.
     lru: BTreeSet<(u64, u32)>,
     use_seq: u64,
-    stats: TenancyStats,
+    /// Counter sink of the `tenancy.*` counters and gauges. Starts as a
+    /// private registry; [`Tenancy::bind_stats`] rebinds it (e.g. to the
+    /// server's sink) so each event is counted once, where it happens.
+    stats: Telemetry,
+    sites: TenancySites,
 }
 
 impl Tenancy {
@@ -487,8 +515,29 @@ impl Tenancy {
             resident_bytes: 0,
             lru: BTreeSet::new(),
             use_seq: 0,
-            stats: TenancyStats::default(),
+            stats: Telemetry::new(),
+            sites: TenancySites::default(),
         })
+    }
+
+    /// Rebinds the stage's counter sink (e.g. to the owning server's
+    /// telemetry registry), migrating counts recorded so far so
+    /// [`Tenancy::stats`] never loses history.
+    pub fn bind_stats(&mut self, sink: &Telemetry) {
+        for name in COUNTERS {
+            let prior = self.stats.counter(name);
+            if prior > 0 {
+                sink.count(name, prior);
+            }
+        }
+        for name in ["tenancy.resident_fns", "tenancy.resident_bytes"] {
+            if let Some(v) = self.stats.gauge_value(name) {
+                sink.gauge(name, v);
+            }
+        }
+        self.stats = sink.clone();
+        // The cached ids index the *old* sink's registry.
+        self.sites = TenancySites::default();
     }
 
     /// Whether the match-action stage is on.
@@ -525,12 +574,36 @@ impl Tenancy {
         self.funcs[func.0 as usize].in_flight
     }
 
-    /// Snapshot of the stage counters (residency gauges filled in).
+    /// Snapshot of the stage counters, read from its counter sink
+    /// (residency gauges filled in).
     pub fn stats(&self) -> TenancyStats {
-        let mut s = self.stats;
-        s.resident_fns = self.lru.len() as u64;
-        s.resident_bytes = self.resident_bytes as u64;
-        s
+        let [matched, unmatched, shed, cold_starts, evictions, evictions_deferred] =
+            COUNTERS.map(|name| self.stats.counter(name));
+        TenancyStats {
+            matched,
+            unmatched,
+            shed,
+            cold_starts,
+            evictions,
+            evictions_deferred,
+            resident_fns: self.lru.len() as u64,
+            resident_bytes: self.resident_bytes as u64,
+        }
+    }
+
+    /// Publishes the residency gauges (`tenancy.resident_fns` /
+    /// `tenancy.resident_bytes`).
+    fn publish_residency(&self) {
+        self.sites.resident_fns.set_with(
+            &self.stats,
+            || "tenancy.resident_fns".to_string(),
+            self.lru.len() as f64,
+        );
+        self.sites.resident_bytes.set_with(
+            &self.stats,
+            || "tenancy.resident_bytes".to_string(),
+            self.resident_bytes as f64,
+        );
     }
 
     /// The match-action decision for one request: match the payload,
@@ -553,11 +626,20 @@ impl Tenancy {
         service: usize,
         payload: &[u8],
     ) -> crate::Result<Admission> {
+        let decision = self.admit(now, service, payload);
+        self.publish_residency();
+        decision
+    }
+
+    /// [`Tenancy::decide`] before the residency gauges are published.
+    fn admit(&mut self, now: Time, service: usize, payload: &[u8]) -> crate::Result<Admission> {
         let Some(func) = self.registry.match_request(payload) else {
-            self.stats.unmatched += 1;
+            self.sites
+                .unmatched
+                .add(&self.stats, "tenancy.unmatched", 1);
             return Err(Error::Unroutable { service });
         };
-        self.stats.matched += 1;
+        self.sites.matched.add(&self.stats, "tenancy.matched", 1);
         let quota = self.registry.specs[func.0 as usize].quota;
         let st = &mut self.funcs[func.0 as usize];
         let over_in_flight = quota.max_in_flight.is_some_and(|m| st.in_flight >= m);
@@ -567,7 +649,7 @@ impl Tenancy {
             None => false,
         };
         if over_in_flight || over_rate {
-            self.stats.shed += 1;
+            self.sites.shed.add(&self.stats, "tenancy.shed", 1);
             return Err(Error::Overloaded { service });
         }
         let (delay, cold) = self.ensure_resident(now, func);
@@ -584,6 +666,7 @@ impl Tenancy {
         st.in_flight = st.in_flight.saturating_sub(1);
         if st.in_flight == 0 && st.evict_pending {
             self.evict(func);
+            self.publish_residency();
         }
     }
 
@@ -608,7 +691,9 @@ impl Tenancy {
                 }
             }
             Residency::Cold => {
-                self.stats.cold_starts += 1;
+                self.sites
+                    .cold_starts
+                    .add(&self.stats, "tenancy.cold_starts", 1);
                 let footprint = self.registry.specs[fi as usize].footprint_bytes;
                 self.make_room(footprint, func);
                 if self.resident_bytes + footprint <= self.cfg.accel_memory_bytes {
@@ -646,7 +731,9 @@ impl Tenancy {
             if st.in_flight > 0 {
                 if !st.evict_pending {
                     st.evict_pending = true;
-                    self.stats.evictions_deferred += 1;
+                    self.sites
+                        .evictions_deferred
+                        .add(&self.stats, "tenancy.evictions_deferred", 1);
                 }
                 continue;
             }
@@ -670,7 +757,9 @@ impl Tenancy {
         self.resident_bytes = self
             .resident_bytes
             .saturating_sub(self.registry.specs[fi].footprint_bytes);
-        self.stats.evictions += 1;
+        self.sites
+            .evictions
+            .add(&self.stats, "tenancy.evictions", 1);
     }
 
     fn touch(&mut self, func: FnId, seq: u64) {

@@ -740,7 +740,6 @@ pub fn tune(
             CacheConfig {
                 enabled: true,
                 bytes_per_lane: space.cache_bytes_per_lane,
-                ..CacheConfig::disabled()
             }
         } else {
             CacheConfig::disabled()

@@ -11,12 +11,15 @@ use std::time::Duration;
 use lynx::apps::kv::{self, KvStore};
 use lynx::core::testbed::{deploy_processor, DeployConfig, Machine};
 use lynx::core::RmqConfig;
-use lynx::core::{CacheConfig, CacheOp, CacheProtocol, ControlConfig, MqueueConfig, ServiceId};
+use lynx::core::{
+    CacheConfig, CacheOp, CacheProtocol, ControlConfig, FunctionRegistry, FunctionSpec, MatchRule,
+    MqueueConfig, ServiceId, TenancyConfig,
+};
 use lynx::device::{GpuSpec, RequestProcessor};
 use lynx::net::{HostStack, LinkSpec, Network, Platform, SockAddr, StackKind, StackProfile};
 use lynx::sim::{MultiServer, SchedulerKind, Sim, Telemetry};
 use lynx::workload::{run_measured, ClosedLoopClient, RunSpec, ZipfKeyGen};
-use lynx::{FaultAction, FaultPlan, Trigger};
+use lynx::{FaultAction, FaultPlan, RecoveryConfig, Trigger};
 
 /// The kv wire format as a [`CacheProtocol`] (mirrors the adapter
 /// `lynx-bench` uses for fig9b; root tests cannot depend on the bench
@@ -107,7 +110,6 @@ fn write_through_set_invalidates_and_the_next_get_refills() {
         cache: CacheConfig {
             enabled: true,
             bytes_per_lane: 1 << 16,
-            ..CacheConfig::disabled()
         },
         cache_protocol: Some(Rc::new(KvWire)),
         ..DeployConfig::default()
@@ -224,7 +226,6 @@ fn degradation_engages_before_shedding_and_recovers_with_hysteresis() {
         cache: CacheConfig {
             enabled: true,
             bytes_per_lane: 1 << 18,
-            ..CacheConfig::disabled()
         },
         cache_protocol: Some(Rc::new(KvWire)),
         ..DeployConfig::default()
@@ -360,7 +361,6 @@ fn traced_cache_run(seed: u64, kind: SchedulerKind) -> (Telemetry, u64, u64, Str
         cache: CacheConfig {
             enabled: true,
             bytes_per_lane: 1 << 16,
-            ..CacheConfig::disabled()
         },
         cache_protocol: Some(Rc::new(KvWire)),
         ..DeployConfig::default()
@@ -446,7 +446,6 @@ fn racing_set_voids_the_in_flight_fill_lease() {
         cache: CacheConfig {
             enabled: true,
             bytes_per_lane: 1 << 16,
-            ..CacheConfig::disabled()
         },
         cache_protocol: Some(Rc::new(KvWire)),
         ..DeployConfig::default()
@@ -540,7 +539,6 @@ fn degraded_hit_pays_the_dispatch_cost_like_a_normal_hit() {
         cache: CacheConfig {
             enabled: true,
             bytes_per_lane: 1 << 16,
-            ..CacheConfig::disabled()
         },
         cache_protocol: Some(Rc::new(KvWire)),
         ..DeployConfig::default()
@@ -645,12 +643,13 @@ fn degraded_hit_pays_the_dispatch_cost_like_a_normal_hit() {
     );
 }
 
-/// A response lost *after* acceptance (pull-side retry give-up) breaks
-/// the per-queue FIFO's request↔response pairing. The matcher must
-/// detect the desync before popping anything — a shifted pop would fill
-/// the cache under the *previous* request's key — discard its state, and
-/// re-sync once the queue drains. Verified from the wire: after the
-/// loss, every key still reads back its own value.
+/// A response lost *after* acceptance (pull-side retry give-up) releases
+/// exactly its own request context: its fill lease is abandoned and it
+/// counts once in `server.path_resets`, while the responses behind it
+/// still fill the cache under their own keys — each context travels with
+/// its mqueue slot, so a lost response cannot shift the pairing of later
+/// ones. Verified from the wire: after the loss, every key still reads
+/// back its own value.
 #[test]
 fn lost_response_resets_path_matching_instead_of_filling_the_wrong_key() {
     let mut sim = Sim::new(23);
@@ -675,7 +674,6 @@ fn lost_response_resets_path_matching_instead_of_filling_the_wrong_key() {
         cache: CacheConfig {
             enabled: true,
             bytes_per_lane: 1 << 16,
-            ..CacheConfig::disabled()
         },
         cache_protocol: Some(Rc::new(KvWire)),
         ..DeployConfig::default()
@@ -732,13 +730,13 @@ fn lost_response_resets_path_matching_instead_of_filling_the_wrong_key() {
     assert_eq!(
         counter(&telemetry, "server.path_resets"),
         1,
-        "the desync must be detected before any shifted pop"
+        "exactly the lost response's context is released without a reply"
     );
 
     // Probes, strictly one at a time: every key must read back its own
-    // value. (Without the reset, k2's response would have popped k1's
-    // entry and cached v2 under k1 — the probe would hit the wrong
-    // value straight from the SNIC.)
+    // value. (Had the loss shifted the pairing, k2's response would have
+    // cached v2 under k1 — the probe would hit the wrong value straight
+    // from the SNIC.)
     for i in 0..5 {
         let before = responses.get();
         *expected.borrow_mut() = Some(format!("v{i}").into_bytes());
@@ -748,10 +746,310 @@ fn lost_response_resets_path_matching_instead_of_filling_the_wrong_key() {
     }
 
     let stats = d.server.cache_stats();
-    // Burst: 5 cold misses, only k0's fill lands (k1's response is lost;
-    // k2–k4 arrive while matching is suspended). Probes: k0 hits, k1–k4
-    // miss again — the queue drained, so matching resumed and they fill.
-    assert_eq!(stats.misses, 9, "5 burst misses + 4 probe misses");
-    assert_eq!(stats.hits, 1, "only k0's probe hits");
-    assert_eq!(stats.fills, 5, "k0's burst fill + the four probe refills");
+    // Burst: 5 cold misses; k0 and k2–k4 fill under their own keys, k1's
+    // response is lost and its lease abandoned. Probes: k0 and k2–k4 hit,
+    // only k1 is fetched again — it leases afresh and fills.
+    assert_eq!(stats.misses, 6, "5 burst misses + k1's probe miss");
+    assert_eq!(stats.hits, 4, "every probe but k1's hits");
+    assert_eq!(stats.fills, 5, "four burst fills + k1's probe refill");
+}
+
+/// A kv store whose GETs of the key `slow` take 500 µs on the
+/// accelerator and every other request 20 µs.
+struct KeyedKv {
+    store: Rc<RefCell<KvStore>>,
+}
+
+impl fmt::Debug for KeyedKv {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("KeyedKv").finish_non_exhaustive()
+    }
+}
+
+impl RequestProcessor for KeyedKv {
+    fn name(&self) -> &str {
+        "keyed-kv"
+    }
+
+    fn service_time(&self, request: &[u8]) -> Duration {
+        match kv::Request::decode(request) {
+            Some(kv::Request::Get { key }) if key == b"slow" => Duration::from_micros(500),
+            _ => Duration::from_micros(20),
+        }
+    }
+
+    fn process(&self, request: &[u8]) -> Vec<u8> {
+        kv::execute_wire(&mut self.store.borrow_mut(), request)
+    }
+}
+
+/// The stale-read race across mqueues: a SET waits on one mqueue behind
+/// a slow request while a GET of the same key, dispatched after the
+/// SET's write-through invalidation, runs first on the other mqueue and
+/// fills the old value under a lease nothing voided. The SET must
+/// invalidate its key again before it is acknowledged: a GET sent after
+/// the acknowledgement must not read the old value from the SNIC.
+#[test]
+fn get_sent_after_a_set_ack_never_reads_the_old_value() {
+    let mut sim = Sim::new(5);
+    let net = Network::new();
+    let machine = Machine::new(&net, "server-0");
+    let sites: Vec<_> = (0..2)
+        .map(|_| machine.gpu_site(&machine.add_gpu(GpuSpec::k40m())))
+        .collect();
+    let store = Rc::new(RefCell::new(KvStore::new(1 << 20)));
+    for (k, v) in [("alpha", "v1"), ("slow", "s"), ("filler", "f")] {
+        store
+            .borrow_mut()
+            .set(k.as_bytes().to_vec(), v.as_bytes().to_vec());
+    }
+    // Round-robin over one mqueue per GPU: requests alternate queues.
+    let cfg = DeployConfig {
+        mqueues_per_gpu: 1,
+        cache: CacheConfig {
+            enabled: true,
+            bytes_per_lane: 1 << 16,
+        },
+        cache_protocol: Some(Rc::new(KvWire)),
+        ..DeployConfig::default()
+    };
+    let d = deploy_processor(
+        &mut sim,
+        &net,
+        &machine,
+        &sites,
+        &cfg,
+        Rc::new(KeyedKv { store }),
+    );
+    let addr = d.server_addr;
+    let stack = client_stack(&net, "client");
+    let replies: Rc<RefCell<Vec<kv::Response>>> = Rc::new(RefCell::new(Vec::new()));
+    {
+        let replies = Rc::clone(&replies);
+        stack.bind_udp_default(move |_, dg| {
+            let r = kv::Response::decode(&dg.payload).expect("a kv response");
+            replies.borrow_mut().push(r);
+        });
+    }
+    let set = kv::Request::Set {
+        key: b"alpha".to_vec(),
+        val: b"v2".to_vec(),
+    }
+    .encode();
+    {
+        let stack = stack.clone();
+        sim.schedule_in(Duration::ZERO, move |sim| {
+            // queue 0: the slow GET, then the SET behind it;
+            // queue 1: a filler, then the racing GET of `alpha`.
+            for req in [get("slow"), get("filler"), set, get("alpha")] {
+                stack.send_udp(sim, 9000, addr, req);
+            }
+        });
+    }
+    sim.run_for(Duration::from_millis(5));
+    {
+        let got = replies.borrow();
+        assert_eq!(got.len(), 4, "all four answered");
+        // The race happened: the GET ran ahead of the SET and read v1.
+        assert!(got.contains(&kv::Response::Value(b"v1".to_vec())));
+        assert_eq!(got.last(), Some(&kv::Response::Stored), "SET acked last");
+    }
+    stack.send_udp(&mut sim, 9000, addr, get("alpha"));
+    sim.run_for(Duration::from_millis(2));
+    assert_eq!(
+        replies.borrow().last(),
+        Some(&kv::Response::Value(b"v2".to_vec())),
+        "a GET sent after the SET's acknowledgement read the old value"
+    );
+}
+
+/// Conservation under faults with cache, tenancy and the control plane
+/// on together. One response is lost to a pull give-up and one
+/// accelerator crashes (its queue is quarantined with requests in
+/// flight). Every request context is settled exactly once: collected
+/// responses fill under their own keys, every tenant slot is released,
+/// the lost key can lease and fill again, and `server.path_resets`
+/// counts exactly the contexts released without a response.
+#[test]
+fn lost_response_and_quarantine_release_every_request_context() {
+    let mut sim = Sim::new(31);
+    let telemetry = sim.enable_telemetry();
+    let net = Network::new();
+    let machine = Machine::new(&net, "server-0");
+    // Distinct names: fault sites address a GPU's region and its queue.
+    let sites: Vec<_> = ["gpu-a", "gpu-b"]
+        .into_iter()
+        .map(|name| {
+            let spec = GpuSpec {
+                name,
+                ..GpuSpec::k40m()
+            };
+            machine.gpu_site(&machine.add_gpu(spec))
+        })
+        .collect();
+    let store = Rc::new(RefCell::new(KvStore::new(1 << 20)));
+    for i in 0..10 {
+        store
+            .borrow_mut()
+            .set(format!("k{i}").into_bytes(), format!("v{i}").into_bytes());
+    }
+    let mut registry = FunctionRegistry::new();
+    let kv_get = registry
+        .register(FunctionSpec::new("kv-get", MatchRule::Prefix(vec![0x01])))
+        .unwrap();
+    let kv_set = registry
+        .register(FunctionSpec::new("kv-set", MatchRule::Prefix(vec![0x02])))
+        .unwrap();
+    let cfg = DeployConfig {
+        mqueues_per_gpu: 1,
+        recovery: RecoveryConfig::default(),
+        // No retry budget: one read error is one lost response.
+        rmq: RmqConfig {
+            max_retries: 0,
+            ..RmqConfig::default()
+        },
+        control: ControlConfig {
+            min_workers: 2,
+            max_workers: 2,
+            ..ControlConfig::default()
+        },
+        cache: CacheConfig {
+            enabled: true,
+            bytes_per_lane: 1 << 16,
+        },
+        cache_protocol: Some(Rc::new(KvWire)),
+        tenancy: Some((
+            TenancyConfig {
+                enabled: true,
+                cold_start: Duration::from_micros(10),
+                ..TenancyConfig::default()
+            },
+            registry,
+        )),
+        ..DeployConfig::default()
+    };
+    let d = deploy_processor(
+        &mut sim,
+        &net,
+        &machine,
+        &sites,
+        &cfg,
+        Rc::new(SlowKv {
+            store,
+            service_time: Duration::from_micros(20),
+        }),
+    );
+    let addr = d.server_addr;
+    let stack = client_stack(&net, "client");
+    let replies: Rc<RefCell<Vec<kv::Response>>> = Rc::new(RefCell::new(Vec::new()));
+    {
+        let replies = Rc::clone(&replies);
+        stack.bind_udp_default(move |_, dg| {
+            let r = kv::Response::decode(&dg.payload).expect("a kv response");
+            replies.borrow_mut().push(r);
+        });
+    }
+    let value = |v: &str| kv::Response::Value(v.as_bytes().to_vec());
+
+    // Warm-up, one request at a time: both functions go resident, and
+    // round-robin returns to queue 0.
+    let set8 = kv::Request::Set {
+        key: b"k8".to_vec(),
+        val: b"v8".to_vec(),
+    }
+    .encode();
+    for req in [get("k9"), set8] {
+        stack.send_udp(&mut sim, 9000, addr, req);
+        sim.run_for(Duration::from_millis(1));
+    }
+    assert_eq!(replies.borrow().len(), 2);
+
+    // Burst: queue 0 serves k0, k2, k4 (the 2nd read of its region from
+    // here on — k2's response — is lost); queue 1's worker crashes on the burst,
+    // wedging k1, the SET of k7 and k5 until quarantine releases them.
+    let t_burst = sim.now();
+    let region = d.mqueues[0].mem().name().to_string();
+    sim.enable_faults(
+        FaultPlan::new(31)
+            .rule(
+                format!("rdma.read.{region}"),
+                Trigger::Nth(2),
+                FaultAction::CqeError,
+            )
+            .rule(
+                format!("accel.{}", d.mqueues[1].label()),
+                Trigger::After(t_burst),
+                FaultAction::Crash,
+            ),
+    );
+    let set7 = kv::Request::Set {
+        key: b"k7".to_vec(),
+        val: b"v7-new".to_vec(),
+    }
+    .encode();
+    {
+        let stack = stack.clone();
+        sim.schedule_in(Duration::ZERO, move |sim| {
+            for req in [get("k0"), get("k1"), get("k2"), set7, get("k4"), get("k5")] {
+                stack.send_udp(sim, 9000, addr, req);
+            }
+        });
+    }
+    sim.run_for(Duration::from_millis(10));
+    assert_eq!(
+        replies.borrow()[2..],
+        [value("v0"), value("v4")],
+        "k2's reply was lost; queue 1's three requests are never answered"
+    );
+    assert_eq!(telemetry.counter("rmq.giveups"), 1);
+    assert_eq!(telemetry.counter("accel.crashed"), 1);
+    assert_eq!(d.server.quarantined_queues(), 1);
+    assert_eq!(
+        telemetry.counter("server.path_resets"),
+        4,
+        "k2's lost response + k1, the SET of k7 and k5 released at quarantine"
+    );
+    for f in [kv_get, kv_set] {
+        assert_eq!(
+            d.server.tenancy_in_flight(f),
+            0,
+            "{f:?} holds no slot once its requests are answered or released"
+        );
+    }
+    // k9 at warm-up, then k0 and k4 — collected after the loss.
+    assert_eq!(d.server.cache_stats().fills, 3);
+
+    // Probes, one at a time (queue 1 is quarantined, so all go to queue
+    // 0): k0 and k4 hit their own values; the lost k2 and the released
+    // k1 lease afresh and fill, then hit.
+    let probes = [
+        ("k0", true),
+        ("k4", true),
+        ("k2", false),
+        ("k2", true),
+        ("k1", false),
+        ("k1", true),
+    ];
+    for (key, hit) in probes {
+        let before = d.server.cache_stats();
+        stack.send_udp(&mut sim, 9000, addr, get(key));
+        sim.run_for(Duration::from_millis(1));
+        let want = format!("v{}", &key[1..]);
+        assert_eq!(replies.borrow().last(), Some(&value(&want)), "probe {key}");
+        let after = d.server.cache_stats();
+        if hit {
+            assert_eq!(after.hits, before.hits + 1, "probe {key} hits");
+        } else {
+            assert_eq!(after.misses, before.misses + 1, "probe {key} misses");
+            assert_eq!(
+                after.fills,
+                before.fills + 1,
+                "probe {key} leases and fills"
+            );
+        }
+    }
+    assert_eq!(telemetry.counter("server.path_resets"), 4);
+    for f in [kv_get, kv_set] {
+        assert_eq!(d.server.tenancy_in_flight(f), 0);
+    }
 }
