@@ -14,9 +14,9 @@
 //! * analytic prediction within 25% of simulated throughput on every
 //!   reported point.
 //!
-//! `LYNX_AUTOTUNE_SMOKE=1` runs a reduced grid on the first point only —
-//! the CI mode — asserting the tuned deployment's simulated p99 meets
-//! the SLO the tuner promised.
+//! `LYNX_SMOKE=1` (or `--smoke`) runs a reduced grid on the first point
+//! only — the CI mode — asserting the tuned deployment's simulated p99
+//! meets the SLO the tuner promised.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -233,7 +233,7 @@ fn smoke() {
 }
 
 fn main() {
-    if std::env::var("LYNX_AUTOTUNE_SMOKE").is_ok() {
+    if lynx_bench::smoke() {
         smoke();
         return;
     }

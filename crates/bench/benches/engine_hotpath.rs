@@ -1,42 +1,35 @@
-//! Wall-clock baseline for the simulator's hot path (PR 4, extended in
-//! PR 6 to gate the end-to-end number and cover the hybrid scheduler).
+//! Wall-clock baseline for the simulator's hot path.
 //!
 //! Unlike the figure benches (which reproduce *simulated* results), this
 //! harness measures how fast the engine itself runs on the host machine:
 //!
-//! * **events/sec** — a self-rescheduling actor mesh driven through each
-//!   scheduler backend. `wheel_interned` vs `heap_string` reproduces the
-//!   PR 4 before/after (scheduler + interned counters + `Payload` clones vs
-//!   heap + `format!` counters + deep clones); `heap_interned` isolates
-//!   the scheduler itself, counters and payloads held equal.
+//! * **events/sec** — a self-rescheduling actor mesh. `heap_interned`
+//!   (interned counters + `Payload` clones) vs `heap_string` (`format!`
+//!   counters + deep clones) is the counter/payload overhaul's
+//!   before/after on the same event queue.
 //! * **ns/counter-add** — interned [`SiteCounter`] handle vs. the string
 //!   lookup API, isolated.
 //! * **simulated pkts/sec** — a full UDP ping-pong through two
-//!   [`HostStack`]s with telemetry enabled, under wheel, heap, and the
-//!   adaptive hybrid. This is the number that regressed under the wheel
-//!   in PR 4 (BENCH_4.json: 493k vs 763k) and the one the default
-//!   scheduler is now gated on: the bench asserts the default (hybrid)
-//!   stays within noise of the heap, so the microbench win can never
-//!   again cost the workload the paper cares about.
-//!
-//! * **partitioned pkts/sec** (PR 8) — the same ping-pong replicated over
-//!   8 shards of a [`ReplicaSet`], run at 1, 2 and 8 worker threads. On a
+//!   [`HostStack`]s with telemetry enabled, best of three runs.
+//! * **partitioned pkts/sec** — the same ping-pong replicated over 8
+//!   shards of a [`ReplicaSet`], run at 1, 2 and 8 worker threads. On a
 //!   many-core host this shows the sharded engine's wall-clock scaling;
 //!   the simulated results are byte-identical at every thread count.
 //!
-//! Results land in `BENCH_8.json` at the workspace root (override with
-//! `LYNX_BENCH_OUT`). CI smoke-runs this bench (`--smoke` or
-//! `LYNX_BENCH_SMOKE=1` shrinks the iteration counts) and fails if either
-//! `events_per_sec.wheel_interned` or `sim_pkts_per_sec.default`
-//! regresses more than 20% against the committed single-thread baseline
-//! (`BENCH_6.json` numbers, carried forward into `BENCH_8.json`).
+//! Results land in `target/lynx-results/BENCH_8.json` (override with
+//! `LYNX_BENCH_OUT`), so a local run never overwrites the committed
+//! `BENCH_8.json`. CI smoke-runs this bench (`--smoke` or `LYNX_SMOKE=1`
+//! shrinks the iteration counts) and fails if
+//! `events_per_sec.heap_interned`, `sim_pkts_per_sec.default` or the
+//! 1-thread partitioned rate regresses more than 20% against the
+//! committed single-thread baseline (`BENCH_6.json`, `BENCH_8.json`).
 
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 use lynx_core::shard::ReplicaSet;
 use lynx_net::{HostStack, LinkSpec, Network, Platform, SockAddr, StackKind, StackProfile};
-use lynx_sim::{MultiServer, Payload, SchedulerKind, Sim, SimConfig, SiteCounter};
+use lynx_sim::{MultiServer, Payload, Sim, SimConfig, SiteCounter};
 
 /// Payload size for the clone-cost comparison: a full MTU frame.
 const PAYLOAD: usize = 1500;
@@ -45,7 +38,7 @@ const PAYLOAD: usize = 1500;
 const PART_REPLICAS: usize = 8;
 
 struct Scale {
-    /// Events executed per scheduler+counter engine run.
+    /// Events executed per engine run.
     engine_events: u64,
     /// Counter increments for the isolated add-cost measurement.
     counter_adds: u64,
@@ -68,8 +61,7 @@ impl Scale {
             counter_adds: 100_000,
             // The e2e runs are cheap (~20 ms each) and gate CI, so smoke
             // keeps them at full scale: at 2k packets a run is short
-            // enough that a single OS scheduling stall triples it, which
-            // makes the per-backend comparison meaningless.
+            // enough that a single OS scheduling stall triples it.
             pkts: 20_000,
         }
     }
@@ -77,11 +69,10 @@ impl Scale {
 
 /// The engine loop: 64 actors, each bumping two per-packet counters and
 /// cloning a payload per firing, then rescheduling itself. Delays mix
-/// near-future (same wheel slot region) and far-future (overflow
-/// promotion) so the wheel's whole mechanism is on the clock.
-fn engine_run(kind: SchedulerKind, interned: bool, events: u64) -> Duration {
+/// near-future and far-future times.
+fn engine_run(interned: bool, events: u64) -> Duration {
     const ACTORS: u64 = 64;
-    let mut sim = Sim::with_scheduler(1, kind);
+    let mut sim = Sim::new(1);
     sim.enable_telemetry();
     let budget = events / ACTORS;
 
@@ -114,7 +105,7 @@ fn engine_run(kind: SchedulerKind, interned: bool, events: u64) -> Duration {
                 black_box(copy.len());
             }
         }
-        // 1 in 16 firings lands far enough out to exercise wheel overflow.
+        // 1 in 16 firings lands about 1000x further out.
         let delay = if left.is_multiple_of(16) {
             Duration::from_micros(600 + id)
         } else {
@@ -159,10 +150,10 @@ fn counter_run(interned: bool, adds: u64) -> Duration {
 
 /// End-to-end UDP ping-pong through two host stacks with telemetry on:
 /// how many simulated packets the engine retires per wall-clock second.
-/// This is the sparse-occupancy mix (≈5 events in flight spread over a
-/// ~50 µs RTT) where the PR 4 wheel lost 35% to the heap.
-fn e2e_run(kind: SchedulerKind, pkts: u64) -> Duration {
-    let mut sim = Sim::with_scheduler(3, kind);
+/// This is a sparse-occupancy mix: about 5 events in flight spread over
+/// a ~50 µs RTT.
+fn e2e_run(pkts: u64) -> Duration {
+    let mut sim = Sim::new(3);
     sim.enable_telemetry();
     let remaining = pingpong(&mut sim, pkts);
     let start = Instant::now();
@@ -224,22 +215,12 @@ fn partitioned_run(threads: usize, pkts: u64) -> Duration {
     wall
 }
 
-/// Interleaved best-of-N e2e rates for the given kinds.
-///
-/// Throughput on this harness ramps noticeably over the process lifetime
-/// (CPU frequency + cache warming), so measuring each scheduler in its
-/// own contiguous block biases whichever runs last. Round-robin the kinds
-/// across [`E2E_ROUNDS`] rounds and keep each kind's best time so every
-/// backend sees the same mix of cold and warm rounds.
-fn e2e_rates(kinds: &[SchedulerKind], pkts: u64) -> Vec<f64> {
-    const E2E_ROUNDS: usize = 3;
-    let mut best = vec![Duration::MAX; kinds.len()];
-    for _ in 0..E2E_ROUNDS {
-        for (i, &kind) in kinds.iter().enumerate() {
-            best[i] = best[i].min(e2e_run(kind, pkts));
-        }
-    }
-    best.into_iter().map(|d| rate(pkts, d)).collect()
+/// Best-of-3 e2e rate: keeping the fastest run filters out OS
+/// scheduling stalls and the throughput ramp over the process lifetime
+/// (CPU frequency + cache warming).
+fn e2e_rate(pkts: u64) -> f64 {
+    let best = (0..3).map(|_| e2e_run(pkts)).min().expect("three runs");
+    rate(pkts, best)
 }
 
 fn rate(n: u64, d: Duration) -> f64 {
@@ -251,35 +232,21 @@ fn ns_per(n: u64, d: Duration) -> f64 {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke")
-        || std::env::var("LYNX_BENCH_SMOKE").is_ok_and(|v| v == "1");
+    let smoke = lynx_bench::smoke();
     let scale = if smoke { Scale::smoke() } else { Scale::full() };
 
     // Warm-up pass so first-touch allocation noise stays off the clock.
-    engine_run(SchedulerKind::Wheel, true, scale.engine_events / 10);
+    engine_run(true, scale.engine_events / 10);
 
-    let wheel_interned = engine_run(SchedulerKind::Wheel, true, scale.engine_events);
-    let heap_interned = engine_run(SchedulerKind::Heap, true, scale.engine_events);
-    let heap_string = engine_run(SchedulerKind::Heap, false, scale.engine_events);
-    let events_new = rate(scale.engine_events, wheel_interned);
-    let events_heap = rate(scale.engine_events, heap_interned);
-    let events_old = rate(scale.engine_events, heap_string);
+    let events_interned = rate(scale.engine_events, engine_run(true, scale.engine_events));
+    let events_string = rate(scale.engine_events, engine_run(false, scale.engine_events));
 
     let ns_string = ns_per(scale.counter_adds, counter_run(false, scale.counter_adds));
     let ns_interned = ns_per(scale.counter_adds, counter_run(true, scale.counter_adds));
 
-    // Warm-up, then the gated e2e number: default (hybrid) alongside the
-    // fixed backends for the honest comparison.
-    e2e_run(SchedulerKind::Heap, scale.pkts / 10);
-    let e2e = e2e_rates(
-        &[
-            SchedulerKind::default(),
-            SchedulerKind::Wheel,
-            SchedulerKind::Heap,
-        ],
-        scale.pkts,
-    );
-    let (pkts_default, pkts_wheel, pkts_heap) = (e2e[0], e2e[1], e2e[2]);
+    // Warm-up, then the gated e2e number.
+    e2e_run(scale.pkts / 10);
+    let pkts_per_sec = e2e_rate(scale.pkts);
 
     // Partitioned e2e: the same ping-pong replicated over 8 shards, at 1,
     // 2 and 8 worker threads. Totals are identical by construction (the
@@ -290,21 +257,18 @@ fn main() {
     let part_2 = rate(total, partitioned_run(2, scale.pkts));
     let part_8 = rate(total, partitioned_run(8, scale.pkts));
 
-    let speedup = events_new / events_old;
+    let speedup = events_interned / events_string;
     let json = format!(
-        "{{\n  \"bench\": \"engine_hotpath\",\n  \"smoke\": {smoke},\n  \"scale\": {{ \"engine_events\": {}, \"counter_adds\": {}, \"pkts\": {} }},\n  \"events_per_sec\": {{ \"wheel_interned\": {:.0}, \"heap_interned\": {:.0}, \"heap_string\": {:.0}, \"speedup\": {:.2} }},\n  \"ns_per_counter_add\": {{ \"string\": {:.1}, \"interned\": {:.1} }},\n  \"sim_pkts_per_sec\": {{ \"default\": {:.0}, \"wheel\": {:.0}, \"heap\": {:.0}, \"default_kind\": \"hybrid\" }},\n  \"partitioned_pkts_per_sec\": {{ \"replicas\": {}, \"pkts_per_replica\": {}, \"threads_1\": {:.0}, \"threads_2\": {:.0}, \"threads_8\": {:.0}, \"speedup_8\": {:.2} }}\n}}\n",
+        "{{\n  \"bench\": \"engine_hotpath\",\n  \"smoke\": {smoke},\n  \"scale\": {{ \"engine_events\": {}, \"counter_adds\": {}, \"pkts\": {} }},\n  \"events_per_sec\": {{ \"heap_interned\": {:.0}, \"heap_string\": {:.0}, \"speedup\": {:.2} }},\n  \"ns_per_counter_add\": {{ \"string\": {:.1}, \"interned\": {:.1} }},\n  \"sim_pkts_per_sec\": {{ \"default\": {:.0} }},\n  \"partitioned_pkts_per_sec\": {{ \"replicas\": {}, \"pkts_per_replica\": {}, \"threads_1\": {:.0}, \"threads_2\": {:.0}, \"threads_8\": {:.0}, \"speedup_8\": {:.2} }}\n}}\n",
         scale.engine_events,
         scale.counter_adds,
         scale.pkts,
-        events_new,
-        events_heap,
-        events_old,
+        events_interned,
+        events_string,
         speedup,
         ns_string,
         ns_interned,
-        pkts_default,
-        pkts_wheel,
-        pkts_heap,
+        pkts_per_sec,
         PART_REPLICAS,
         scale.pkts,
         part_1,
@@ -313,23 +277,19 @@ fn main() {
         part_8 / part_1,
     );
 
-    let out = std::env::var("LYNX_BENCH_OUT")
-        .unwrap_or_else(|_| format!("{}/../../BENCH_8.json", env!("CARGO_MANIFEST_DIR")));
+    let out = std::env::var("LYNX_BENCH_OUT").unwrap_or_else(|_| {
+        lynx_bench::results_dir()
+            .join("BENCH_8.json")
+            .display()
+            .to_string()
+    });
     std::fs::write(&out, &json).expect("write BENCH_8.json");
     println!("{json}");
     println!("wrote {out}");
 
     assert!(
         speedup >= 2.0,
-        "hot-path overhaul must hold a >=2x events/sec advantage (got {speedup:.2}x)"
-    );
-    // The PR 6 invariant: the default scheduler must retire e2e packets at
-    // least as fast as the heap did (within wall-clock noise) — the wheel's
-    // microbench win may never again cost the end-to-end workload.
-    let e2e_ratio = pkts_default / pkts_heap;
-    assert!(
-        e2e_ratio >= 0.85,
-        "default scheduler lost the e2e workload to the heap: \
-         {pkts_default:.0} vs {pkts_heap:.0} pkts/s ({e2e_ratio:.2}x)"
+        "interned counters + shared payloads must hold a >=2x events/sec \
+         advantage over format! counters + deep copies (got {speedup:.2}x)"
     );
 }

@@ -28,7 +28,7 @@
 //! straight from the SNIC's dispatch stage, misses take the mqueue →
 //! RDMA → accelerator path unchanged. Acceptance: >5× served throughput
 //! at ≥90% hit rate with the miss-path p99 unchanged (±5%), recorded in
-//! `BENCH_9.json`. `LYNX_CACHE_SMOKE=1` runs only this variant, shorter
+//! `BENCH_9.json`. `LYNX_SMOKE=1` runs only this variant, shorter
 //! and with relaxed thresholds, for the CI cache job.
 
 use std::cell::RefCell;
@@ -243,7 +243,7 @@ fn run_kv_accel(
 
 /// Figure 9b: the SNIC-resident hot-key cache in front of the accelerator
 /// path. Asserts the ISSUE acceptance criteria (relaxed under
-/// `LYNX_CACHE_SMOKE=1`, which also shortens the runs for CI).
+/// `LYNX_SMOKE=1`, which also shortens the runs for CI).
 fn fig9b_cache(smoke: bool) {
     banner("Figure 9b — SNIC-resident hot-key cache in front of the accelerator path");
     let spec = if smoke {
@@ -382,7 +382,7 @@ fn fig9b_cache(smoke: bool) {
 }
 
 fn main() {
-    let smoke = std::env::var("LYNX_CACHE_SMOKE").is_ok_and(|v| v == "1");
+    let smoke = lynx_bench::smoke();
     if !smoke {
         fig9_placement();
     }

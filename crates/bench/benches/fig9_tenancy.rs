@@ -22,7 +22,7 @@
 //!
 //! Acceptance (the committed `BENCH_10.json` gate): resident-class p99
 //! within 1.1× of the single-tenant baseline while the throttled tenant
-//! sheds everything without raising resident p99. `LYNX_TENANCY_SMOKE=1`
+//! sheds everything without raising resident p99. `LYNX_SMOKE=1`
 //! shrinks the registry and the runs and relaxes the ratio for CI.
 
 use std::rc::Rc;
@@ -247,7 +247,7 @@ fn run_hostcentric(tenants: u32, spec: RunSpec) -> (f64, f64) {
 }
 
 fn main() {
-    let smoke = std::env::var("LYNX_TENANCY_SMOKE").is_ok_and(|v| v == "1");
+    let smoke = lynx_bench::smoke();
     banner("Figure 9c — serverless multi-tenancy: 10k functions on the SNIC's match-action stage");
     let tenants: u32 = if smoke { 500 } else { 10_000 };
     let spec = if smoke {

@@ -14,7 +14,7 @@
 //! embarrassingly parallel in a single conservative window; the run is
 //! byte-deterministic at any thread count (the smoke profile asserts it).
 //!
-//! `--smoke` / `LYNX_BENCH_SMOKE=1` shrinks the fleet to 16k clients for
+//! `--smoke` / `LYNX_SMOKE=1` shrinks the fleet to 16k clients for
 //! CI. The full run's wall-clock and throughput feed the EXPERIMENTS.md
 //! row for the 1M-client experiment.
 
@@ -144,10 +144,7 @@ fn run_fleet(scale: &Scale, threads: usize) -> (Duration, usize, Vec<ReplicaOut>
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke")
-        || std::env::var("LYNX_BENCH_SMOKE")
-            .map(|v| v == "1")
-            .unwrap_or(false);
+    let smoke = lynx_bench::smoke();
     let scale = if smoke { Scale::smoke() } else { Scale::full() };
     banner("Client-count scalability — a million clients on the sharded engine");
     println!(

@@ -54,7 +54,7 @@ fn saturation_throughput(pipeline: PipelineConfig, spec: RunSpec) -> f64 {
 }
 
 fn main() {
-    let smoke = std::env::var("LYNX_SMOKE").is_ok();
+    let smoke = lynx_bench::smoke();
     banner("Pipeline scaling — throughput vs SNIC cores, batched vs unbatched");
     println!("\n64B UDP echo, {DELAY_US}us GPU work, {MQUEUES} mqueues, closed loop.\n");
 

@@ -454,6 +454,12 @@ impl ShapeReport {
     }
 }
 
+/// Whether a bench runs its short smoke profile: `--smoke` on the
+/// command line or `LYNX_SMOKE=1` in the environment.
+pub fn smoke() -> bool {
+    std::env::args().any(|a| a == "--smoke") || std::env::var("LYNX_SMOKE").is_ok_and(|v| v == "1")
+}
+
 /// Directory benches write their CSV series into.
 pub fn results_dir() -> std::path::PathBuf {
     let p = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/lynx-results");

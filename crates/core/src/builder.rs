@@ -10,7 +10,7 @@
 use std::rc::Rc;
 
 use lynx_net::{HostStack, SockAddr};
-use lynx_sim::{SchedulerKind, Sim, SimConfig, Telemetry};
+use lynx_sim::{Sim, Telemetry};
 
 use crate::cache::{CacheConfig, CacheProtocol, SnicKernel};
 use crate::pipeline::{BatchPolicy, PipelineConfig};
@@ -79,7 +79,6 @@ pub struct LynxServerBuilder {
     accels: Vec<RemoteMqManager>,
     services: Vec<ServiceSpec>,
     bridges: Vec<(usize, Mqueue, SockAddr)>,
-    sim_config: Option<SimConfig>,
     cache: CacheConfig,
     cache_protocol: Option<Rc<dyn CacheProtocol>>,
     snic_compute: Option<(Rc<dyn SnicKernel>, f64)>,
@@ -116,52 +115,12 @@ impl LynxServerBuilder {
                 listeners: Vec::new(),
             }],
             bridges: Vec::new(),
-            sim_config: None,
             cache: CacheConfig::disabled(),
             cache_protocol: None,
             snic_compute: None,
             tenancy: None,
             errors: Vec::new(),
         }
-    }
-
-    /// Sets the typed engine configuration for this deployment.
-    ///
-    /// This is the programmatic replacement for the ad-hoc `LYNX_SCHED` /
-    /// `LYNX_SIM_THREADS` plumbing: construct a [`SimConfig`] (optionally
-    /// seeded from the environment via [`SimConfig::from_env`]), pass it
-    /// here, and [`LynxServerBuilder::build`] validates it alongside every
-    /// other config and applies the scheduler choice through
-    /// [`Sim::set_scheduler`]. The `threads` field is carried for the
-    /// partitioned harness (`lynx_core::shard`); a single-`Sim` deployment
-    /// always runs on one thread.
-    ///
-    /// A `SimConfig` that fails [`SimConfig::validate`] is reported in the
-    /// aggregate [`Error::Config`](crate::Error::Config) at build time,
-    /// consistent with the rest of the builder.
-    pub fn sim_config(mut self, cfg: SimConfig) -> Self {
-        if let Err(reason) = cfg.validate() {
-            self.errors.push(format!("sim.threads: {reason}"));
-        }
-        self.sim_config = Some(cfg);
-        self
-    }
-
-    /// Pins the simulator's event-queue backend for this deployment —
-    /// sugar for [`LynxServerBuilder::sim_config`] touching only the
-    /// scheduler field.
-    ///
-    /// Applied at [`LynxServerBuilder::build`] time through
-    /// [`Sim::set_scheduler`], which migrates any already-pending events
-    /// without perturbing their `(time, seq)` execution order — so a
-    /// deployment can pick, say, [`SchedulerKind::Wheel`] for a dense
-    /// many-timer workload while another sticks with the adaptive default
-    /// ([`SchedulerKind::Hybrid`]). When unset, whatever the `Sim` was
-    /// created with (the `LYNX_SCHED` env var, by default) stays in force.
-    pub fn scheduler(mut self, kind: SchedulerKind) -> Self {
-        let cfg = self.sim_config.unwrap_or_default().scheduler(kind);
-        self.sim_config = Some(cfg);
-        self
     }
 
     /// Sets the per-message CPU cost model (defaults to the BlueField ARM
@@ -426,9 +385,6 @@ impl LynxServerBuilder {
         if !errors.is_empty() {
             return Err(crate::Error::Config(errors.join("; ")));
         }
-        if let Some(cfg) = self.sim_config {
-            sim.set_scheduler(cfg.scheduler);
-        }
 
         let costs = self
             .costs
@@ -472,60 +428,5 @@ impl LynxServerBuilder {
             server.inner_add_backend_bridge(sim, accel, mq, dst);
         }
         Ok(server)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::testbed::Machine;
-    use crate::{Mqueue, MqueueConfig, MqueueKind};
-    use lynx_net::{Network, StackKind};
-
-    #[test]
-    fn builder_pins_scheduler_at_build_time() {
-        let mut sim = Sim::with_scheduler(0, SchedulerKind::Hybrid);
-        // Pending work scheduled before build must survive the migration.
-        let fired = std::rc::Rc::new(std::cell::Cell::new(false));
-        let f2 = std::rc::Rc::clone(&fired);
-        sim.schedule_in(std::time::Duration::from_micros(5), move |_| {
-            f2.set(true);
-        });
-        let net = Network::new();
-        let machine = Machine::new(&net, "server-0");
-        let gpu = machine.add_gpu(lynx_device::GpuSpec::k40m());
-        let cfg = MqueueConfig::default();
-        let base = gpu.alloc(cfg.required_bytes());
-        let mq = Mqueue::new(MqueueKind::Server, gpu.mem(), base, cfg);
-        let stack = machine.host_stack(1, StackKind::Vma);
-        let _server = LynxServerBuilder::new(stack)
-            .accelerator(RemoteMqManager::new(machine.rdma_nic().loopback_qp()))
-            .server_mqueue(0, mq)
-            .listen_udp(7000)
-            .scheduler(SchedulerKind::Wheel)
-            .build(&mut sim)
-            .expect("valid deployment");
-        assert_eq!(sim.scheduler(), SchedulerKind::Wheel);
-        sim.run_until(lynx_sim::Time::from_millis(1));
-        assert!(fired.get(), "pre-build event must survive the migration");
-    }
-
-    #[test]
-    fn builder_without_scheduler_keeps_sim_backend() {
-        let net = Network::new();
-        let machine = Machine::new(&net, "server-0");
-        let gpu = machine.add_gpu(lynx_device::GpuSpec::k40m());
-        let cfg = MqueueConfig::default();
-        let base = gpu.alloc(cfg.required_bytes());
-        let mq = Mqueue::new(MqueueKind::Server, gpu.mem(), base, cfg);
-        let stack = machine.host_stack(1, StackKind::Vma);
-        let mut sim = Sim::with_scheduler(0, SchedulerKind::Heap);
-        let _server = LynxServerBuilder::new(stack)
-            .accelerator(RemoteMqManager::new(machine.rdma_nic().loopback_qp()))
-            .server_mqueue(0, mq)
-            .listen_udp(7000)
-            .build(&mut sim)
-            .expect("valid deployment");
-        assert_eq!(sim.scheduler(), SchedulerKind::Heap);
     }
 }

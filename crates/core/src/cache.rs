@@ -26,8 +26,8 @@
 //!
 //! Everything here is deterministic by construction: the CLOCK hand
 //! walks a plain `Vec` of slots (never a `HashMap` iteration order), so
-//! same-seed runs stay byte-identical across thread counts and
-//! scheduler backends.
+//! same-seed runs stay byte-identical across replays and thread
+//! counts.
 
 use std::collections::HashMap;
 use std::fmt;

@@ -148,7 +148,7 @@ impl<V> std::fmt::Debug for ReplicaSet<V> {
 
 impl<V: Send + 'static> ReplicaSet<V> {
     /// Creates an empty replica set with the given root seed and engine
-    /// configuration (thread cap + per-shard scheduler).
+    /// configuration (thread cap).
     ///
     /// # Panics
     ///

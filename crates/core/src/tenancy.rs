@@ -32,7 +32,7 @@
 //! in a `BTreeSet` keyed by a monotone use sequence, hash maps are used
 //! for exact-key lookup only (never iterated), and the token buckets
 //! refill from the simulated clock — so same-seed runs stay byte-identical
-//! across scheduler backends and worker-thread counts.
+//! across replays and worker-thread counts.
 //!
 //! See `docs/TENANCY.md` for the book chapter with a worked 10k-tenant
 //! example, and `benches/fig9_tenancy.rs` for the noisy-neighbor

@@ -1,25 +1,21 @@
-//! Typed simulation configuration: thread count and scheduler choice.
+//! Typed simulation configuration: the worker-thread cap.
 //!
-//! Before 0.6.0 the only way to steer the engine from the outside was a
-//! pair of ad-hoc environment variables read at scattered call sites
-//! (`LYNX_SCHED` inside `Sim::new`, bench-specific thread knobs). The
-//! typed [`SimConfig`] inverts that: code constructs and passes an
-//! explicit configuration, and the environment variables remain available
-//! **as overrides parsed through the same typed API**
+//! Code constructs and passes an explicit [`SimConfig`]; the
+//! `LYNX_SIM_THREADS` environment variable remains available **as an
+//! override parsed through the same typed API**
 //! ([`SimConfig::from_env`] / [`SimConfig::with_env_overrides`]), so a CI
-//! matrix can still pin `LYNX_SIM_THREADS=8 LYNX_SCHED=heap` without code
-//! changes while every programmatic consumer goes through one validated
-//! surface.
-
-use crate::sim::SchedulerKind;
+//! matrix can pin `LYNX_SIM_THREADS=8` without code changes while every
+//! programmatic consumer goes through one validated surface.
 
 /// Environment variable overriding [`SimConfig::threads`].
 pub const ENV_THREADS: &str = "LYNX_SIM_THREADS";
-/// Environment variable overriding [`SimConfig::scheduler`].
+/// Formerly selected the event-queue backend. No longer read by the
+/// engine, which has a single event queue; kept so tools that refuse to
+/// run under stale engine overrides can still name it.
 pub const ENV_SCHED: &str = "LYNX_SCHED";
 
 /// Typed engine configuration: how many worker threads a partitioned run
-/// may use and which event-queue backend each shard runs on.
+/// may use.
 ///
 /// `threads` is a *cap*, not a layout: the shard→thread assignment is
 /// `shard_id % threads`, and because every shard's execution depends only
@@ -27,9 +23,9 @@ pub const ENV_SCHED: &str = "LYNX_SCHED";
 /// produces byte-identical traces and counters at any thread count.
 ///
 /// ```
-/// use lynx_sim::{SchedulerKind, SimConfig};
+/// use lynx_sim::SimConfig;
 ///
-/// let cfg = SimConfig::new().threads(8).scheduler(SchedulerKind::Heap);
+/// let cfg = SimConfig::new().threads(8);
 /// assert_eq!(cfg.threads, 8);
 /// assert!(cfg.validate().is_ok());
 /// assert!(SimConfig::new().threads(0).validate().is_err());
@@ -39,21 +35,16 @@ pub struct SimConfig {
     /// Worker threads available to a partitioned run (≥ 1). A plain
     /// single-[`Sim`](crate::Sim) run always uses one thread regardless.
     pub threads: usize,
-    /// Event-queue backend for every shard's simulator.
-    pub scheduler: SchedulerKind,
 }
 
 impl Default for SimConfig {
     fn default() -> SimConfig {
-        SimConfig {
-            threads: 1,
-            scheduler: SchedulerKind::default(),
-        }
+        SimConfig { threads: 1 }
     }
 }
 
 impl SimConfig {
-    /// The default configuration: one thread, adaptive hybrid scheduler.
+    /// The default configuration: one thread.
     pub fn new() -> SimConfig {
         SimConfig::default()
     }
@@ -64,24 +55,18 @@ impl SimConfig {
         self
     }
 
-    /// Sets the event-queue backend.
-    pub fn scheduler(mut self, scheduler: SchedulerKind) -> SimConfig {
-        self.scheduler = scheduler;
-        self
-    }
-
     /// The default configuration with environment overrides applied —
-    /// the one entry point through which `LYNX_SIM_THREADS` / `LYNX_SCHED`
-    /// reach the engine.
+    /// the one entry point through which `LYNX_SIM_THREADS` reaches the
+    /// engine.
     pub fn from_env() -> SimConfig {
         SimConfig::default().with_env_overrides()
     }
 
-    /// Applies `LYNX_SIM_THREADS` and `LYNX_SCHED` on top of `self`.
+    /// Applies `LYNX_SIM_THREADS` on top of `self`.
     ///
-    /// Unset or unparsable variables leave the corresponding field
-    /// untouched, so a typed configuration is never silently degraded by
-    /// a stray environment.
+    /// An unset or unparsable variable leaves the field untouched, so a
+    /// typed configuration is never silently degraded by a stray
+    /// environment.
     pub fn with_env_overrides(mut self) -> SimConfig {
         if let Ok(v) = std::env::var(ENV_THREADS) {
             if let Ok(n) = v.trim().parse::<usize>() {
@@ -90,14 +75,8 @@ impl SimConfig {
                 }
             }
         }
-        if let Ok(v) = std::env::var(ENV_SCHED) {
-            if let Some(kind) = SchedulerKind::parse(&v) {
-                self.scheduler = kind;
-            }
-        }
         self
     }
-
     /// Checks the configuration, returning a human-readable reason for
     /// the first violated constraint.
     pub fn validate(&self) -> Result<(), String> {
@@ -119,18 +98,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn defaults_are_single_threaded_hybrid() {
+    fn defaults_are_single_threaded() {
         let cfg = SimConfig::default();
         assert_eq!(cfg.threads, 1);
-        assert_eq!(cfg.scheduler, SchedulerKind::Hybrid);
         assert!(cfg.validate().is_ok());
     }
 
     #[test]
     fn builder_setters_compose() {
-        let cfg = SimConfig::new().threads(4).scheduler(SchedulerKind::Wheel);
-        assert_eq!(cfg.threads, 4);
-        assert_eq!(cfg.scheduler, SchedulerKind::Wheel);
+        assert_eq!(SimConfig::new().threads(4).threads, 4);
     }
 
     #[test]
@@ -138,13 +114,5 @@ mod tests {
         assert!(SimConfig::new().threads(0).validate().is_err());
         assert!(SimConfig::new().threads(1025).validate().is_err());
         assert!(SimConfig::new().threads(1024).validate().is_ok());
-    }
-
-    #[test]
-    fn scheduler_parse_round_trips() {
-        assert_eq!(SchedulerKind::parse("wheel"), Some(SchedulerKind::Wheel));
-        assert_eq!(SchedulerKind::parse("HEAP"), Some(SchedulerKind::Heap));
-        assert_eq!(SchedulerKind::parse("Hybrid"), Some(SchedulerKind::Hybrid));
-        assert_eq!(SchedulerKind::parse("quantum"), None);
     }
 }

@@ -7,10 +7,9 @@
 //!
 //! * [`Time`] — nanosecond-resolution simulated clock.
 //! * [`Sim`] — an event queue of boxed closures ordered by `(time, seq)`,
-//!   implemented as a calendar/timing wheel (with a [`SchedulerKind::Heap`]
-//!   binary-heap oracle for differential testing). Event sequence numbers
-//!   make execution **fully deterministic**: two runs with the same seed
-//!   replay the same event order bit-for-bit under either scheduler.
+//!   kept in one binary heap. Event sequence numbers make execution
+//!   **fully deterministic**: two runs with the same seed replay the same
+//!   event order bit-for-bit.
 //! * [`Payload`] / [`BufferPool`] — cheaply-clonable shared payload
 //!   buffers (`Arc`-backed, `Send + Sync`) and a per-`Sim` scratch pool,
 //!   so moving a message through the model costs a refcount bump instead
@@ -72,7 +71,7 @@ pub use server::{MultiServer, Server};
 pub use shard::{
     CrossShardMsg, Partition, PartitionReport, ShardCtx, ShardId, ShardReport, ShardSender,
 };
-pub use sim::{SchedStatus, SchedulerKind, Sim};
+pub use sim::Sim;
 pub use telemetry::{
     CounterId, CounterRegistry, GaugeId, SiteCounter, SiteGauge, Telemetry, TraceEvent, TraceRecord,
 };

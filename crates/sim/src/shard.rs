@@ -87,7 +87,7 @@ use std::time::Duration;
 use crate::payload::Payload;
 use crate::rng::derive_seed;
 use crate::telemetry::{Telemetry, TraceRecord};
-use crate::{SchedulerKind, Sim, SimConfig, Time};
+use crate::{Sim, SimConfig, Time};
 
 /// Identifies one shard of a [`Partition`] (dense indices, assigned by
 /// [`Partition::add_shard`] in call order).
@@ -550,7 +550,6 @@ impl<V: Send + 'static> Partition<V> {
         let window = self.window();
         let links = Arc::new(self.links);
         let seed = self.seed;
-        let scheduler = self.config.scheduler;
         let telemetry = self.telemetry;
 
         // Deal shards to workers round-robin: shard i -> worker i % threads.
@@ -580,8 +579,7 @@ impl<V: Send + 'static> Partition<V> {
                     let panic_done = done_tx.clone();
                     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                         worker_main(
-                            worker, specs, nshards, seed, scheduler, telemetry, links, cmd_rx,
-                            ack_tx, done_tx,
+                            worker, specs, nshards, seed, telemetry, links, cmd_rx, ack_tx, done_tx,
                         );
                     }));
                     if let Err(payload) = result {
@@ -734,7 +732,6 @@ fn worker_main<V: Send + 'static>(
     specs: Vec<ShardSpec<V>>,
     nshards: usize,
     seed: u64,
-    scheduler: SchedulerKind,
     telemetry: bool,
     links: Arc<BTreeMap<(u16, u16), Duration>>,
     cmd_rx: mpsc::Receiver<Cmd>,
@@ -744,10 +741,7 @@ fn worker_main<V: Send + 'static>(
     let mut shards: Vec<ShardRt<V>> = specs
         .into_iter()
         .map(|spec| {
-            let mut sim = Sim::with_scheduler(
-                derive_seed(seed, &format!("shard/{}", spec.id.index())),
-                scheduler,
-            );
+            let mut sim = Sim::new(derive_seed(seed, &format!("shard/{}", spec.id.index())));
             if telemetry {
                 sim.enable_telemetry();
             }

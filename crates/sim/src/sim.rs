@@ -1,33 +1,11 @@
 //! The discrete-event scheduler.
 //!
-//! Events execute in `(time, insertion-sequence)` order. Three event-queue
-//! implementations provide that order:
-//!
-//! * [`SchedulerKind::Wheel`] — a calendar/timing-wheel queue: near-future
-//!   events hash into a ring of time slots (O(1) insert), far-future events
-//!   wait in a sorted overflow map and are promoted in bulk as the wheel
-//!   turns. Only the currently active slot is kept heap-ordered, so
-//!   push/pop cost does not grow with the total number of pending events
-//!   the way a global binary heap's does. Wins when many events are
-//!   pending and most land inside the wheel horizon.
-//! * [`SchedulerKind::Heap`] — the original global `BinaryHeap`, kept as a
-//!   differential-testing oracle. Wins at sparse occupancy (a handful of
-//!   pending events), where the wheel's slot bookkeeping is pure overhead.
-//! * [`SchedulerKind::Hybrid`] (default) — starts on the heap and watches
-//!   event density and schedule horizons online (the same observations the
-//!   `sched.pending` / `sched.near_frac` gauges publish), migrating
-//!   wheel↔heap with hysteresis so each deployment runs on the backend
-//!   that is actually faster for its event mix.
-//!
-//! All three pop the exact same `(time, seq)` sequence, so same-seed runs
-//! are byte-identical under any of them (see `tests/determinism.rs`). The
-//! hybrid's switch decisions depend only on that deterministic push/pop
-//! sequence — never on wall-clock time — so they replay identically too.
-//! Set `LYNX_SCHED=wheel|heap|hybrid` to pin a backend without code
-//! changes.
+//! Events execute in `(time, insertion-sequence)` order, kept by one global
+//! `BinaryHeap`. Sequence numbers break ties, so two runs with the same
+//! seed and the same schedule calls pop the exact same event sequence.
 
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BinaryHeap;
 use std::fmt;
 use std::time::Duration;
 
@@ -36,7 +14,7 @@ use rand::SeedableRng;
 
 use crate::faults::{FaultAction, FaultInjector, FaultPlan};
 use crate::payload::BufferPool;
-use crate::telemetry::{SiteGauge, Telemetry, TraceEvent};
+use crate::telemetry::{Telemetry, TraceEvent};
 use crate::Time;
 
 type EventFn = Box<dyn FnOnce(&mut Sim)>;
@@ -69,538 +47,6 @@ impl Ord for Entry {
     }
 }
 
-/// Which event-queue implementation a [`Sim`] schedules on.
-///
-/// All kinds produce the identical `(time, seq)` execution order; they
-/// differ only in wall-clock cost per event. [`SchedulerKind::Hybrid`]
-/// (the default) adapts between the other two at runtime; the heap doubles
-/// as the differential-testing oracle.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum SchedulerKind {
-    /// Calendar/timing-wheel queue: O(1) near-future inserts, sorted
-    /// overflow for the far future. Fastest at dense occupancy.
-    Wheel,
-    /// The original global `BinaryHeap` queue. Fastest at sparse
-    /// occupancy, and the differential-testing oracle.
-    Heap,
-    /// Adaptive: observes pending-event density and schedule horizons
-    /// online and migrates between wheel and heap with hysteresis. The
-    /// default.
-    #[default]
-    Hybrid,
-}
-
-impl SchedulerKind {
-    /// Parses a backend name: `"wheel"`, `"heap"`, or `"hybrid"`
-    /// (case-insensitive). Returns `None` for anything else, letting the
-    /// caller decide whether that means "default" or "reject".
-    pub fn parse(s: &str) -> Option<SchedulerKind> {
-        let s = s.trim();
-        if s.eq_ignore_ascii_case("heap") {
-            Some(SchedulerKind::Heap)
-        } else if s.eq_ignore_ascii_case("wheel") {
-            Some(SchedulerKind::Wheel)
-        } else if s.eq_ignore_ascii_case("hybrid") {
-            Some(SchedulerKind::Hybrid)
-        } else {
-            None
-        }
-    }
-
-    /// Reads the scheduler choice from the `LYNX_SCHED` environment
-    /// variable via the typed [`SimConfig`](crate::SimConfig) surface:
-    /// `"wheel"`, `"heap"`, or `"hybrid"` (case-insensitive) select that
-    /// backend; anything else — including unset — selects the default
-    /// adaptive [`SchedulerKind::Hybrid`].
-    pub fn from_env() -> SchedulerKind {
-        crate::SimConfig::from_env().scheduler
-    }
-}
-
-/// Log2 of the wheel's slot width: each slot covers 4096 ns (~4 µs).
-///
-/// Horizon-aware sizing, picked by profiling the end-to-end packet mix
-/// rather than the microbench: the simulator's NIC/PCIe/stack events
-/// spread over 1–80 µs horizons, so 1 µs slots put nearly every event in
-/// its own slot and every pop paid a full slot activation. At 4 µs,
-/// co-scheduled protocol events share slots (refills drop ~3.6× on the
-/// UDP ping-pong mix) while the slot heap stays small enough that dense
-/// meshes keep their O(1) insert advantage.
-const SLOT_SHIFT: u32 = 12;
-/// Nanoseconds per wheel slot.
-const SLOT_NS: u64 = 1 << SLOT_SHIFT;
-/// Number of slots on the wheel ring; horizon = `SLOTS * SLOT_NS`
-/// (≈1.05 ms — sub-horizon covers protocol and batching timers, overflow
-/// keeps retry/watchdog/control-plane timers). Must stay a multiple of 64
-/// for the occupancy bitmap.
-const SLOTS: usize = 256;
-const BITMAP_WORDS: usize = SLOTS / 64;
-/// The wheel horizon in nanoseconds — also the boundary the scheduler
-/// observer uses to classify a push as "near" (wheel-friendly) or "far"
-/// (overflow-bound).
-const WHEEL_HORIZON_NS: u64 = (SLOTS as u64) << SLOT_SHIFT;
-
-/// A calendar-queue / timing-wheel event queue.
-///
-/// Invariants (with `base` = absolute index of the active slot,
-/// `slot(t) = t.as_nanos() >> SLOT_SHIFT`):
-///
-/// * `active` (a small binary heap) holds every pending event with
-///   `slot(at) <= base` — its minimum is therefore the global minimum;
-/// * `ring[s % SLOTS]` holds events with `base < slot(at) < base + SLOTS`,
-///   unordered (they are heapified wholesale when their slot activates),
-///   and the occupancy bitmap has exactly the bits of non-empty ring
-///   slots set;
-/// * `overflow` (sorted by `(time, seq)`) holds events at or beyond the
-///   horizon and is promoted in bulk (`split_off`) as `base` advances.
-///
-/// The sparse-occupancy hot path is deliberately allocation-free: slot
-/// `Vec`s keep their capacity across activations (drain, not take), and
-/// the bitmap is scanned a word at a time with `trailing_zeros`, so an
-/// idle ring costs at most `SLOTS / 64 + 1` word tests per refill rather
-/// than one branch per empty slot.
-struct TimingWheel {
-    ring: Vec<Vec<Entry>>,
-    occupied: [u64; BITMAP_WORDS],
-    base: u64,
-    active: BinaryHeap<Entry>,
-    overflow: BTreeMap<(u64, u64), EventFn>,
-    len: usize,
-}
-
-impl TimingWheel {
-    fn new() -> TimingWheel {
-        TimingWheel {
-            ring: (0..SLOTS).map(|_| Vec::new()).collect(),
-            occupied: [0; BITMAP_WORDS],
-            base: 0,
-            active: BinaryHeap::new(),
-            overflow: BTreeMap::new(),
-            len: 0,
-        }
-    }
-
-    /// Builds a wheel holding the entries of `heap`, positioning `base`
-    /// just before the earliest entry so near-future events land on the
-    /// ring instead of transiting the overflow map. Used by the hybrid
-    /// scheduler's heap→wheel migration.
-    fn from_heap(mut heap: BinaryHeap<Entry>) -> TimingWheel {
-        let mut w = TimingWheel::new();
-        if let Some(first) = heap.peek() {
-            w.base = Self::slot_of(first.at).saturating_sub(1);
-        }
-        for entry in heap.drain() {
-            w.push(entry);
-        }
-        w
-    }
-
-    /// Consumes the wheel into an unordered `BinaryHeap` of its entries.
-    /// Used by the hybrid scheduler's wheel→heap migration.
-    fn into_heap(mut self) -> BinaryHeap<Entry> {
-        let mut h = self.active;
-        for slot in &mut self.ring {
-            h.extend(slot.drain(..));
-        }
-        h.extend(self.overflow.into_iter().map(|((ns, seq), f)| Entry {
-            at: Time::from_nanos(ns),
-            seq,
-            f,
-        }));
-        h
-    }
-
-    #[inline]
-    fn slot_of(at: Time) -> u64 {
-        at.as_nanos() >> SLOT_SHIFT
-    }
-
-    #[inline]
-    fn mark(&mut self, idx: usize) {
-        self.occupied[idx / 64] |= 1 << (idx % 64);
-    }
-
-    #[inline]
-    fn clear(&mut self, idx: usize) {
-        self.occupied[idx / 64] &= !(1 << (idx % 64));
-    }
-
-    fn push(&mut self, entry: Entry) {
-        self.len += 1;
-        let s = Self::slot_of(entry.at);
-        if s <= self.base {
-            // Active (or already-passed) slot: the heap keeps it ordered.
-            self.active.push(entry);
-        } else if s < self.base + SLOTS as u64 {
-            let idx = (s % SLOTS as u64) as usize;
-            self.ring[idx].push(entry);
-            self.mark(idx);
-        } else {
-            self.overflow
-                .insert((entry.at.as_nanos(), entry.seq), entry.f);
-        }
-    }
-
-    /// Absolute slot index of the nearest occupied ring slot strictly
-    /// after `base`, found by scanning the occupancy bitmap a word at a
-    /// time (at most `BITMAP_WORDS + 1` word tests for a full revolution).
-    fn next_occupied(&self) -> Option<u64> {
-        let base_ring = (self.base % SLOTS as u64) as usize;
-        let mut bit = (base_ring + 1) % SLOTS;
-        let mut remaining = SLOTS - 1;
-        while remaining > 0 {
-            let off = bit % 64;
-            let span = (64 - off).min(remaining);
-            let mask = if span == 64 {
-                !0u64
-            } else {
-                ((1u64 << span) - 1) << off
-            };
-            let hit = self.occupied[bit / 64] & mask;
-            if hit != 0 {
-                let b = (bit / 64) * 64 + hit.trailing_zeros() as usize;
-                let d = (b + SLOTS - base_ring) % SLOTS;
-                return Some(self.base + d as u64);
-            }
-            bit = (bit + span) % SLOTS;
-            remaining -= span;
-        }
-        None
-    }
-
-    /// Advances `base` to the next non-empty slot (bulk-promoting overflow
-    /// entries that come into the horizon) and heapifies it into `active`.
-    /// No-op when `active` is already non-empty. Returns `false` when the
-    /// queue is completely empty.
-    fn refill(&mut self) -> bool {
-        loop {
-            if !self.active.is_empty() {
-                return true;
-            }
-            if self.len == 0 {
-                return false;
-            }
-            // Ring slots are strictly inside the horizon, overflow at or
-            // beyond it, so an occupied ring slot is always nearer.
-            let next_overflow = self.overflow.keys().next().map(|&(ns, _)| ns >> SLOT_SHIFT);
-            let target = match (self.next_occupied(), next_overflow) {
-                (Some(r), _) => r,
-                (None, Some(o)) => o,
-                (None, None) => return false,
-            };
-            self.base = target;
-            let idx = (target % SLOTS as u64) as usize;
-            self.clear(idx);
-            // Drain (not take) so the slot keeps its capacity: at sparse
-            // occupancy every event activates a slot, and a malloc/free
-            // per activation was most of the wheel's e2e regression.
-            let mut slot = std::mem::take(&mut self.ring[idx]);
-            self.active.extend(slot.drain(..));
-            self.ring[idx] = slot;
-            self.promote_overflow();
-            // Loop again if the activated slot fed nothing into `active`
-            // but promotion repopulated later ring slots.
-        }
-    }
-
-    /// Moves every overflow entry now inside the horizon onto the ring (or
-    /// straight into `active` if it lands at or before `base`), splitting
-    /// the sorted map once instead of removing keys one at a time.
-    fn promote_overflow(&mut self) {
-        if self.overflow.is_empty() {
-            return;
-        }
-        let horizon_slot = self.base + SLOTS as u64;
-        // `horizon_slot << SLOT_SHIFT` can only exceed u64 range after
-        // ~584 years of simulated time; every representable time fits the
-        // horizon then, so the whole map promotes.
-        let promote = match horizon_slot.checked_mul(SLOT_NS) {
-            None => std::mem::take(&mut self.overflow),
-            Some(horizon_ns) => match self.overflow.keys().next() {
-                Some(&(ns, _)) if ns < horizon_ns => {
-                    let rest = self.overflow.split_off(&(horizon_ns, 0));
-                    std::mem::replace(&mut self.overflow, rest)
-                }
-                _ => return,
-            },
-        };
-        for ((ns, seq), f) in promote {
-            let entry = Entry {
-                at: Time::from_nanos(ns),
-                seq,
-                f,
-            };
-            let s = ns >> SLOT_SHIFT;
-            if s <= self.base {
-                self.active.push(entry);
-            } else {
-                let idx = (s % SLOTS as u64) as usize;
-                self.ring[idx].push(entry);
-                self.mark(idx);
-            }
-        }
-    }
-
-    /// Pops the earliest `(time, seq)` entry if it is due at or before
-    /// `deadline`. One refill, one heap peek, one heap pop — the run
-    /// loop's single hot call.
-    fn pop_at_or_before(&mut self, deadline: Time) -> Option<Entry> {
-        if !self.refill() {
-            return None;
-        }
-        if self.active.peek()?.at > deadline {
-            return None;
-        }
-        self.len -= 1;
-        self.active.pop()
-    }
-
-    /// Timestamp of the earliest pending entry without popping it. Takes
-    /// `&mut self` because it may advance the wheel to the next occupied
-    /// slot — exactly the structural change the next pop would make, so
-    /// peeking never perturbs execution order.
-    fn peek_next_at(&mut self) -> Option<Time> {
-        if !self.refill() {
-            return None;
-        }
-        self.active.peek().map(|e| e.at)
-    }
-}
-
-/// Pops the earliest heap entry if due at or before `deadline`.
-fn heap_pop_at_or_before(heap: &mut BinaryHeap<Entry>, deadline: Time) -> Option<Entry> {
-    if heap.peek()?.at > deadline {
-        return None;
-    }
-    heap.pop()
-}
-
-/// How many pushes between scheduler-observer policy evaluations (and
-/// `sched.*` gauge refreshes).
-const OBS_WINDOW: u32 = 1024;
-/// Hybrid switches to the wheel when a window closes with at least this
-/// many events pending (and a wheel-friendly horizon mix) — the density
-/// where slot indexing beats `log n` sift costs by a safe margin.
-const WHEEL_ON_PENDING: usize = 96;
-/// Hybrid switches back to the heap when a window closes with at most
-/// this many events pending. Kept well below [`WHEEL_ON_PENDING`] so the
-/// policy has hysteresis instead of flapping around one threshold.
-const HEAP_ON_PENDING: usize = 24;
-/// Minimum fraction of a window's pushes landing inside the wheel horizon
-/// for the wheel to be considered: far-future-heavy mixes pay `BTreeMap`
-/// overflow churn that the heap avoids entirely.
-const NEAR_FRAC_MIN: f64 = 0.5;
-/// Consecutive windows that must agree before the hybrid migrates.
-const SWITCH_STREAK: u32 = 2;
-
-/// The backend a hybrid queue is currently running on.
-enum Backend {
-    Wheel(TimingWheel),
-    Heap(BinaryHeap<Entry>),
-}
-
-/// The adaptive queue behind [`SchedulerKind::Hybrid`].
-///
-/// Starts on the heap (optimal for the small runs and sparse mixes that
-/// dominate short simulations) and migrates once the observer reports a
-/// sustained dense, near-horizon mix. Migration drains one backend into
-/// the other wholesale; entries carry their `(time, seq)` keys, so the pop
-/// order — and therefore every trace byte — is unchanged by a switch.
-struct HybridQueue {
-    backend: Backend,
-    switches: u64,
-    wheel_streak: u32,
-    heap_streak: u32,
-}
-
-impl HybridQueue {
-    fn new() -> HybridQueue {
-        HybridQueue {
-            backend: Backend::Heap(BinaryHeap::new()),
-            switches: 0,
-            wheel_streak: 0,
-            heap_streak: 0,
-        }
-    }
-
-    fn active_kind(&self) -> SchedulerKind {
-        match self.backend {
-            Backend::Wheel(_) => SchedulerKind::Wheel,
-            Backend::Heap(_) => SchedulerKind::Heap,
-        }
-    }
-
-    /// Feeds one closed observer window into the switch policy and
-    /// migrates when [`SWITCH_STREAK`] consecutive windows agree.
-    fn observe_window(&mut self, pending: usize, near_frac: f64) {
-        let wants_wheel = pending >= WHEEL_ON_PENDING && near_frac >= NEAR_FRAC_MIN;
-        let wants_heap = pending <= HEAP_ON_PENDING || near_frac < NEAR_FRAC_MIN / 2.0;
-        self.wheel_streak = if wants_wheel {
-            self.wheel_streak + 1
-        } else {
-            0
-        };
-        self.heap_streak = if wants_heap { self.heap_streak + 1 } else { 0 };
-        match &mut self.backend {
-            Backend::Heap(h) if self.wheel_streak >= SWITCH_STREAK => {
-                let heap = std::mem::take(h);
-                self.backend = Backend::Wheel(TimingWheel::from_heap(heap));
-                self.switches += 1;
-                self.wheel_streak = 0;
-            }
-            Backend::Wheel(w) if self.heap_streak >= SWITCH_STREAK => {
-                let wheel = std::mem::replace(w, TimingWheel::new());
-                self.backend = Backend::Heap(wheel.into_heap());
-                self.switches += 1;
-                self.heap_streak = 0;
-            }
-            _ => {}
-        }
-    }
-}
-
-/// The pluggable event queue behind [`Sim`].
-enum Queue {
-    Wheel(TimingWheel),
-    Heap(BinaryHeap<Entry>),
-    Hybrid(HybridQueue),
-}
-
-impl Queue {
-    fn new(kind: SchedulerKind) -> Queue {
-        match kind {
-            SchedulerKind::Wheel => Queue::Wheel(TimingWheel::new()),
-            SchedulerKind::Heap => Queue::Heap(BinaryHeap::new()),
-            SchedulerKind::Hybrid => Queue::Hybrid(HybridQueue::new()),
-        }
-    }
-
-    fn kind(&self) -> SchedulerKind {
-        match self {
-            Queue::Wheel(_) => SchedulerKind::Wheel,
-            Queue::Heap(_) => SchedulerKind::Heap,
-            Queue::Hybrid(_) => SchedulerKind::Hybrid,
-        }
-    }
-
-    /// The concrete backend executing pops right now (differs from
-    /// [`Queue::kind`] only for the hybrid).
-    fn active_kind(&self) -> SchedulerKind {
-        match self {
-            Queue::Hybrid(h) => h.active_kind(),
-            other => other.kind(),
-        }
-    }
-
-    #[inline]
-    fn push(&mut self, entry: Entry) {
-        match self {
-            Queue::Wheel(w) => w.push(entry),
-            Queue::Heap(h) => h.push(entry),
-            Queue::Hybrid(q) => match &mut q.backend {
-                Backend::Wheel(w) => w.push(entry),
-                Backend::Heap(h) => h.push(entry),
-            },
-        }
-    }
-
-    #[inline]
-    fn pop_at_or_before(&mut self, deadline: Time) -> Option<Entry> {
-        match self {
-            Queue::Wheel(w) => w.pop_at_or_before(deadline),
-            Queue::Heap(h) => heap_pop_at_or_before(h, deadline),
-            Queue::Hybrid(q) => match &mut q.backend {
-                Backend::Wheel(w) => w.pop_at_or_before(deadline),
-                Backend::Heap(h) => heap_pop_at_or_before(h, deadline),
-            },
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            Queue::Wheel(w) => w.len,
-            Queue::Heap(h) => h.len(),
-            Queue::Hybrid(q) => match &q.backend {
-                Backend::Wheel(w) => w.len,
-                Backend::Heap(h) => h.len(),
-            },
-        }
-    }
-
-    /// Timestamp of the earliest pending entry, without popping it.
-    fn peek_next_at(&mut self) -> Option<Time> {
-        match self {
-            Queue::Wheel(w) => w.peek_next_at(),
-            Queue::Heap(h) => h.peek().map(|e| e.at),
-            Queue::Hybrid(q) => match &mut q.backend {
-                Backend::Wheel(w) => w.peek_next_at(),
-                Backend::Heap(h) => h.peek().map(|e| e.at),
-            },
-        }
-    }
-
-    /// Consumes the queue into an unordered heap of its entries, for
-    /// whole-queue migration by [`Sim::set_scheduler`].
-    fn into_entries(self) -> BinaryHeap<Entry> {
-        match self {
-            Queue::Wheel(w) => w.into_heap(),
-            Queue::Heap(h) => h,
-            Queue::Hybrid(q) => match q.backend {
-                Backend::Wheel(w) => w.into_heap(),
-                Backend::Heap(h) => h,
-            },
-        }
-    }
-}
-
-/// Online observer of the event mix: how many events are pending and what
-/// fraction of recent schedules land inside the wheel horizon.
-///
-/// The observer runs identically under every [`SchedulerKind`] — it sees
-/// only the push sequence, which all backends share — so the `sched.*`
-/// gauges it publishes are byte-identical across same-seed wheel, heap,
-/// and hybrid runs, and the hybrid's policy input is exactly what the
-/// other modes merely report.
-struct SchedObserver {
-    window_pushes: u32,
-    window_near: u32,
-    windows: u64,
-    pending_gauge: SiteGauge,
-    near_gauge: SiteGauge,
-}
-
-impl SchedObserver {
-    fn new() -> SchedObserver {
-        SchedObserver {
-            window_pushes: 0,
-            window_near: 0,
-            windows: 0,
-            pending_gauge: SiteGauge::new(),
-            near_gauge: SiteGauge::new(),
-        }
-    }
-}
-
-/// A point-in-time report of the scheduler's state and adaptive history;
-/// see [`Sim::sched_status`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SchedStatus {
-    /// The configured queue implementation.
-    pub kind: SchedulerKind,
-    /// The backend executing pops right now: equals `kind` for the fixed
-    /// schedulers, and the hybrid's current choice of [`Wheel`] or
-    /// [`Heap`] otherwise.
-    ///
-    /// [`Wheel`]: SchedulerKind::Wheel
-    /// [`Heap`]: SchedulerKind::Heap
-    pub active: SchedulerKind,
-    /// How many times the hybrid has migrated backends (always 0 for the
-    /// fixed schedulers).
-    pub switches: u64,
-    /// Completed observer windows (of `OBS_WINDOW` = 1024 pushes each).
-    pub windows: u64,
-}
-
 /// A deterministic discrete-event simulator.
 ///
 /// Events are closures executed in `(time, insertion-sequence)` order, which
@@ -630,8 +76,7 @@ pub struct SchedStatus {
 pub struct Sim {
     now: Time,
     seq: u64,
-    queue: Queue,
-    obs: SchedObserver,
+    queue: BinaryHeap<Entry>,
     rng: StdRng,
     seed: u64,
     stopped: bool,
@@ -648,8 +93,6 @@ impl fmt::Debug for Sim {
             .field("pending", &self.queue.len())
             .field("executed", &self.executed)
             .field("seed", &self.seed)
-            .field("scheduler", &self.queue.kind())
-            .field("active_backend", &self.queue.active_kind())
             .field("stopped", &self.stopped)
             .field("telemetry", &self.telemetry.is_some())
             .field("faults", &self.faults.is_some())
@@ -659,24 +102,11 @@ impl fmt::Debug for Sim {
 
 impl Sim {
     /// Creates a simulator whose random stream is derived from `seed`.
-    ///
-    /// The event queue defaults to the adaptive hybrid; set
-    /// `LYNX_SCHED=wheel|heap` (or use [`Sim::with_scheduler`]) to pin a
-    /// fixed backend.
     pub fn new(seed: u64) -> Sim {
-        Sim::with_scheduler(seed, SchedulerKind::from_env())
-    }
-
-    /// Creates a simulator on an explicit event-queue implementation.
-    ///
-    /// Used by differential tests that run the same workload under all
-    /// schedulers and assert byte-identical telemetry.
-    pub fn with_scheduler(seed: u64, kind: SchedulerKind) -> Sim {
         Sim {
             now: Time::ZERO,
             seq: 0,
-            queue: Queue::new(kind),
-            obs: SchedObserver::new(),
+            queue: BinaryHeap::new(),
             rng: StdRng::seed_from_u64(seed),
             seed,
             stopped: false,
@@ -684,52 +114,6 @@ impl Sim {
             telemetry: None,
             faults: None,
             pool: BufferPool::new(),
-        }
-    }
-
-    /// Which event-queue implementation this simulator runs on.
-    pub fn scheduler(&self) -> SchedulerKind {
-        self.queue.kind()
-    }
-
-    /// Replaces the event queue with `kind`, migrating every pending event.
-    ///
-    /// Entries carry their `(time, seq)` keys across the migration, so the
-    /// execution order — and any telemetry derived from it — is unchanged.
-    /// This is the hook [`LynxServerBuilder::scheduler`] uses to let a
-    /// deployment pin its backend at build time; it is also safe mid-run.
-    ///
-    /// [`LynxServerBuilder::scheduler`]: ../lynx_core/struct.LynxServerBuilder.html
-    pub fn set_scheduler(&mut self, kind: SchedulerKind) {
-        if self.queue.kind() == kind {
-            return;
-        }
-        let old = std::mem::replace(&mut self.queue, Queue::new(kind));
-        let entries = old.into_entries();
-        match &mut self.queue {
-            Queue::Heap(h) => *h = entries,
-            Queue::Hybrid(q) => q.backend = Backend::Heap(entries),
-            Queue::Wheel(w) => *w = TimingWheel::from_heap(entries),
-        }
-    }
-
-    /// A report of the scheduler's configuration, the backend currently
-    /// executing pops, and the hybrid's switch/window history.
-    ///
-    /// This is deliberately *not* telemetry: the active backend differs
-    /// across scheduler modes by construction, so publishing it as a gauge
-    /// would break the byte-identical differential oracle. The
-    /// mode-independent observations (`sched.pending`, `sched.near_frac`)
-    /// are published as gauges instead.
-    pub fn sched_status(&self) -> SchedStatus {
-        SchedStatus {
-            kind: self.queue.kind(),
-            active: self.queue.active_kind(),
-            switches: match &self.queue {
-                Queue::Hybrid(q) => q.switches,
-                _ => 0,
-            },
-            windows: self.obs.windows,
         }
     }
 
@@ -866,8 +250,8 @@ impl Sim {
     /// Timestamp of the earliest pending event, or `None` when the queue
     /// is empty. The partitioned engine uses this to fast-forward idle
     /// windows deterministically; it never changes execution order.
-    pub fn next_event_at(&mut self) -> Option<Time> {
-        self.queue.peek_next_at()
+    pub fn next_event_at(&self) -> Option<Time> {
+        self.queue.peek().map(|e| e.at)
     }
 
     /// Number of events waiting in the queue.
@@ -898,38 +282,6 @@ impl Sim {
             seq,
             f: Box::new(f),
         });
-        self.observe_push(at);
-    }
-
-    /// Feeds one push into the scheduler observer; on every
-    /// [`OBS_WINDOW`]th push, publishes the `sched.pending` /
-    /// `sched.near_frac` gauges and lets the hybrid evaluate its switch
-    /// policy. The inputs (push horizon, pending count) are identical
-    /// under every backend, so gauge bytes never depend on the mode.
-    #[inline]
-    fn observe_push(&mut self, at: Time) {
-        self.obs.window_pushes += 1;
-        if at.as_nanos().wrapping_sub(self.now.as_nanos()) < WHEEL_HORIZON_NS {
-            self.obs.window_near += 1;
-        }
-        if self.obs.window_pushes == OBS_WINDOW {
-            let pending = self.queue.len();
-            let near_frac = f64::from(self.obs.window_near) / f64::from(OBS_WINDOW);
-            self.obs.window_pushes = 0;
-            self.obs.window_near = 0;
-            self.obs.windows += 1;
-            if let Some(t) = &self.telemetry {
-                self.obs
-                    .pending_gauge
-                    .set_with(t, || "sched.pending".to_string(), pending as f64);
-                self.obs
-                    .near_gauge
-                    .set_with(t, || "sched.near_frac".to_string(), near_frac);
-            }
-            if let Queue::Hybrid(q) = &mut self.queue {
-                q.observe_window(pending, near_frac);
-            }
-        }
     }
 
     /// Requests the current [`Sim::run`] loop to stop after the event in
@@ -948,7 +300,7 @@ impl Sim {
     /// stopped, in which case the clock stays at the last event).
     pub fn run_until(&mut self, deadline: Time) {
         self.stopped = false;
-        while let Some(entry) = self.queue.pop_at_or_before(deadline) {
+        while let Some(entry) = self.pop_due(deadline) {
             debug_assert!(entry.at >= self.now, "event queue went back in time");
             self.now = entry.at;
             self.executed += 1;
@@ -960,6 +312,16 @@ impl Sim {
         if deadline != Time::MAX {
             self.now = self.now.max(deadline);
         }
+    }
+
+    /// Pops the earliest pending event if it is due at or before
+    /// `deadline`.
+    #[inline]
+    fn pop_due(&mut self, deadline: Time) -> Option<Entry> {
+        if self.queue.peek()?.at > deadline {
+            return None;
+        }
+        self.queue.pop()
     }
 
     /// Runs for `window` of simulated time starting from the current instant.
@@ -1064,83 +426,10 @@ mod tests {
         assert_ne!(draw(99), draw(100));
     }
 
-    /// Runs the same randomized schedule under the given queue
-    /// implementations and returns the observed execution orders.
-    fn orders_for(spec: &[(u64, u32)]) -> Vec<Vec<u32>> {
-        let run = |kind: SchedulerKind| {
-            let mut sim = Sim::with_scheduler(3, kind);
-            let order = Rc::new(RefCell::new(Vec::new()));
-            for &(ns, tag) in spec {
-                let order = Rc::clone(&order);
-                sim.schedule_at(Time::from_nanos(ns), move |_| {
-                    order.borrow_mut().push(tag);
-                });
-            }
-            sim.run();
-            Rc::try_unwrap(order).unwrap().into_inner()
-        };
-        [
-            SchedulerKind::Wheel,
-            SchedulerKind::Heap,
-            SchedulerKind::Hybrid,
-        ]
-        .into_iter()
-        .map(run)
-        .collect()
-    }
-
     #[test]
-    fn wheel_matches_heap_on_mixed_horizons() {
-        // Same slot, adjacent slots, far beyond the wheel horizon, and
-        // ties — every backend must reproduce the heap's order exactly.
-        let horizon = (SLOTS as u64) * SLOT_NS; // 1_048_576 ns
-        let spec: Vec<(u64, u32)> = vec![
-            (500, 0),
-            (500, 1),              // tie in the same slot
-            (SLOT_NS + 100, 2),    // next slot
-            (horizon + 60_000, 3), // beyond the ~1 ms horizon → overflow
-            (5_000_000, 4),        // deep overflow
-            (5_000_000, 5),        // overflow tie
-            (horizon - 1, 6),      // just inside horizon after promotion
-            (0, 7),                // slot 0
-            (horizon, 8),          // exactly at the initial horizon boundary
-            (100_000_000, 9),      // very deep overflow
-        ];
-        let orders = orders_for(&spec);
-        assert_eq!(orders[0], vec![7, 0, 1, 2, 6, 8, 3, 4, 5, 9]);
-        assert_eq!(orders[0], orders[1]);
-        assert_eq!(orders[0], orders[2]);
-    }
-
-    #[test]
-    fn sparse_occupancy_scans_stay_exact() {
-        // One event every few dozen slots, spanning several full ring
-        // revolutions plus wrap-around distances just under a revolution:
-        // the word-level bitmap scan must find each next slot exactly.
-        let mut spec: Vec<(u64, u32)> = Vec::new();
-        let mut t = 100u64;
-        for i in 0..120u32 {
-            spec.push((t, i));
-            // Gaps cycle through: same slot, a few slots, most of a
-            // revolution, and just over one revolution (overflow bound).
-            t += match i % 4 {
-                0 => 0,
-                1 => 3 * SLOT_NS,
-                2 => (SLOTS as u64 - 2) * SLOT_NS,
-                _ => (SLOTS as u64 + 5) * SLOT_NS,
-            };
-        }
-        let orders = orders_for(&spec);
-        assert_eq!(orders[0], (0..120).collect::<Vec<_>>());
-        assert_eq!(orders[0], orders[1]);
-        assert_eq!(orders[0], orders[2]);
-    }
-
-    #[test]
-    fn wheel_promotes_overflow_through_nested_schedules() {
-        // A chain where each event schedules the next one several horizons
-        // out, interleaved with same-time ties.
-        let mut sim = Sim::with_scheduler(5, SchedulerKind::Wheel);
+    fn nested_far_future_chain_runs_in_order() {
+        // A chain where each event schedules the next one 1.5 ms out.
+        let mut sim = Sim::new(5);
         let order = Rc::new(RefCell::new(Vec::new()));
         fn chain(sim: &mut Sim, order: Rc<RefCell<Vec<u64>>>, depth: u64) {
             if depth == 6 {
@@ -1159,22 +448,11 @@ mod tests {
     }
 
     #[test]
-    fn scheduler_env_and_explicit_selection() {
-        let sim = Sim::with_scheduler(1, SchedulerKind::Heap);
-        assert_eq!(sim.scheduler(), SchedulerKind::Heap);
-        let sim = Sim::with_scheduler(1, SchedulerKind::Wheel);
-        assert_eq!(sim.scheduler(), SchedulerKind::Wheel);
-        let sim = Sim::with_scheduler(1, SchedulerKind::Hybrid);
-        assert_eq!(sim.scheduler(), SchedulerKind::Hybrid);
-        assert_eq!(SchedulerKind::default(), SchedulerKind::Hybrid);
-    }
-
-    #[test]
-    fn pending_counts_ring_and_overflow() {
-        let mut sim = Sim::with_scheduler(1, SchedulerKind::Wheel);
+    fn pending_counts_near_and_far_events() {
+        let mut sim = Sim::new(1);
         sim.schedule_at(Time::from_nanos(10), |_| {});
         sim.schedule_at(Time::from_micros(100), |_| {});
-        sim.schedule_at(Time::from_millis(50), |_| {}); // overflow
+        sim.schedule_at(Time::from_millis(50), |_| {});
         assert_eq!(sim.pending(), 3);
         sim.run_until(Time::from_micros(200));
         assert_eq!(sim.pending(), 1);
@@ -1185,9 +463,9 @@ mod tests {
 
     #[test]
     fn schedule_after_partial_run_keeps_order() {
-        // After run_until advanced the clock past the wheel base, a new
-        // near-now event must still run before older far events.
-        let mut sim = Sim::with_scheduler(1, SchedulerKind::Wheel);
+        // After run_until advanced the clock, a new near-now event must
+        // still run before older far events.
+        let mut sim = Sim::new(1);
         let order = Rc::new(RefCell::new(Vec::new()));
         let o = Rc::clone(&order);
         sim.schedule_at(Time::from_millis(1), move |_| o.borrow_mut().push("far"));
@@ -1198,76 +476,5 @@ mod tests {
         });
         sim.run();
         assert_eq!(*order.borrow(), vec!["near", "far"]);
-    }
-
-    /// Drives a hybrid sim through a dense near-horizon burst (to cross
-    /// the wheel-on threshold) and then a sparse tail (to cross back),
-    /// asserting both switches happen and order never wavers.
-    #[test]
-    fn hybrid_switches_both_ways_and_keeps_order() {
-        let mut sim = Sim::with_scheduler(9, SchedulerKind::Hybrid);
-        assert_eq!(sim.sched_status().active, SchedulerKind::Heap);
-        let order = Rc::new(RefCell::new(Vec::new()));
-        // Dense phase: several observer windows' worth of pushes with a
-        // few hundred events pending at each window close.
-        for i in 0..(OBS_WINDOW as u64 * 4) {
-            let order = Rc::clone(&order);
-            sim.schedule_at(Time::from_nanos(1_000 + i * 40), move |_| {
-                order.borrow_mut().push(i);
-            });
-        }
-        // Interleave pops with pushes so pending stays high while the
-        // windows close: run the first chunk only.
-        sim.run_until(Time::from_nanos(900));
-        sim.run_until(Time::from_nanos(1_000 + OBS_WINDOW as u64 * 40));
-        let mid = sim.sched_status();
-        assert_eq!(mid.kind, SchedulerKind::Hybrid);
-        assert_eq!(
-            mid.active,
-            SchedulerKind::Wheel,
-            "dense burst must switch the hybrid onto the wheel ({mid:?})"
-        );
-        assert!(mid.switches >= 1);
-        sim.run();
-        // Sparse phase: a self-rescheduling chain keeps pending at 1
-        // across many windows — the hybrid must fall back to the heap.
-        fn chain(sim: &mut Sim, left: u64) {
-            if left == 0 {
-                return;
-            }
-            sim.schedule_in(Duration::from_nanos(50), move |sim| chain(sim, left - 1));
-        }
-        chain(&mut sim, OBS_WINDOW as u64 * 3);
-        sim.run();
-        let end = sim.sched_status();
-        assert_eq!(
-            end.active,
-            SchedulerKind::Heap,
-            "sparse tail must switch the hybrid back to the heap ({end:?})"
-        );
-        assert!(end.switches >= 2);
-        let got = Rc::try_unwrap(order).unwrap().into_inner();
-        assert_eq!(got, (0..OBS_WINDOW as u64 * 4).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn set_scheduler_migrates_pending_events() {
-        let mut sim = Sim::with_scheduler(2, SchedulerKind::Heap);
-        let order = Rc::new(RefCell::new(Vec::new()));
-        for (i, ns) in [900_000u64, 10, 5_000, 300_000].into_iter().enumerate() {
-            let order = Rc::clone(&order);
-            sim.schedule_at(Time::from_nanos(ns), move |_| {
-                order.borrow_mut().push(i);
-            });
-        }
-        sim.set_scheduler(SchedulerKind::Wheel);
-        assert_eq!(sim.scheduler(), SchedulerKind::Wheel);
-        assert_eq!(sim.pending(), 4);
-        sim.run_until(Time::from_nanos(6_000));
-        // And back mid-run, with events still pending.
-        sim.set_scheduler(SchedulerKind::Hybrid);
-        assert_eq!(sim.pending(), 2);
-        sim.run();
-        assert_eq!(*order.borrow(), vec![1, 2, 3, 0]);
     }
 }

@@ -6,7 +6,7 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 
-use lynx_sim::{Fifo, Histogram, SchedulerKind, Server, Sim, Time};
+use lynx_sim::{Fifo, Histogram, Server, Sim, Time};
 
 proptest! {
     /// Percentile queries are monotone in `p` and bounded by the exact
@@ -123,19 +123,14 @@ proptest! {
         prop_assert_eq!(server.busy_time().as_nanos() as u64, expect_ns);
     }
 
-    /// The timing wheel pops events in exactly `(time, seq)` order: the
-    /// schedule-time mix spans near-future slots, same-slot ties, and
-    /// far-future times beyond the wheel horizon (which sit in the sorted
-    /// overflow until `base` advances and promotes them). The executed
-    /// sequence must equal a stable sort of the input by time, and must be
-    /// identical to what the binary-heap oracle produces.
+    /// Events execute in exactly `(time, insertion)` order: the executed
+    /// sequence equals a stable sort of the input by time. Schedule times
+    /// mix three horizons: near-future times with many ties, times around
+    /// 1 ms, and a deep future reached only after many earlier events.
     #[test]
-    fn wheel_pops_in_time_seq_order_with_overflow_promotion(
-        raw in proptest::collection::vec((0u32..3, 0u64..1_000_000), 1..200)
+    fn sim_event_ordering(
+        raw in proptest::collection::vec((0u32..3, 0u64..1_000_000), 1..300)
     ) {
-        // Three schedule-time buckets: active/nearby wheel slots (lots of
-        // same-slot ties), times straddling the ~1.05ms horizon, and deep
-        // overflow promoted only after many base advances.
         let times: Vec<u64> = raw
             .iter()
             .map(|&(bucket, mag)| match bucket {
@@ -144,35 +139,6 @@ proptest! {
                 _ => 4_000_000 + mag * 49,
             })
             .collect();
-        fn execute(kind: SchedulerKind, times: &[u64]) -> Vec<(u64, usize)> {
-            let mut sim = Sim::with_scheduler(0, kind);
-            let seen: Rc<RefCell<Vec<(u64, usize)>>> = Rc::new(RefCell::new(Vec::new()));
-            for (i, &t) in times.iter().enumerate() {
-                let seen = Rc::clone(&seen);
-                sim.schedule_at(Time::from_nanos(t), move |sim| {
-                    seen.borrow_mut().push((sim.now().as_nanos(), i));
-                });
-            }
-            sim.run();
-            Rc::try_unwrap(seen).unwrap().into_inner()
-        }
-
-        let wheel = execute(SchedulerKind::Wheel, &times);
-        let heap = execute(SchedulerKind::Heap, &times);
-
-        // Reference order: stable sort by time (insertion index breaks ties).
-        let mut expect: Vec<(u64, usize)> =
-            times.iter().enumerate().map(|(i, &t)| (t, i)).collect();
-        expect.sort_by_key(|&(t, _)| t);
-
-        prop_assert_eq!(&wheel, &expect, "wheel violates (time, seq) order");
-        prop_assert_eq!(&wheel, &heap, "wheel and heap oracle diverge");
-    }
-
-    /// Events execute in nondecreasing time order regardless of insertion
-    /// order, and ties preserve insertion order.
-    #[test]
-    fn sim_event_ordering(times in proptest::collection::vec(0u64..1_000_000, 1..300)) {
         let mut sim = Sim::new(0);
         let seen: Rc<RefCell<Vec<(u64, usize)>>> = Rc::new(RefCell::new(Vec::new()));
         for (i, &t) in times.iter().enumerate() {
@@ -182,133 +148,9 @@ proptest! {
             });
         }
         sim.run();
-        let seen = seen.borrow();
-        prop_assert_eq!(seen.len(), times.len());
-        for w in seen.windows(2) {
-            prop_assert!(w[0].0 <= w[1].0, "time order violated");
-            if w[0].0 == w[1].0 {
-                prop_assert!(w[0].1 < w[1].1, "tie must preserve insertion order");
-            }
-        }
-    }
-}
-
-/// The adaptive hybrid scheduler must be a byte-identical drop-in for the
-/// heap oracle even when the workload deliberately crosses its switch
-/// thresholds in both directions: a dense near-horizon burst (pending in
-/// the thousands → migrate onto the wheel) followed by a sparse
-/// far-horizon tail (pending of 1 → migrate back to the heap). Every
-/// event records a trace line and bumps counters, so the comparison
-/// covers trace bytes, counter snapshots, and gauge snapshots.
-#[test]
-fn hybrid_is_byte_identical_to_oracle_across_switchovers() {
-    fn run(kind: SchedulerKind) -> (String, String, Vec<(String, f64)>, u64, u64) {
-        let mut sim = Sim::with_scheduler(7, kind);
-        let t = sim.enable_telemetry();
-        // Dense burst: ~3 observer windows of near-horizon events, all
-        // pending while the windows close.
-        for i in 0..3_500u64 {
-            sim.schedule_at(Time::from_nanos(10_000 + (i * 271) % 900_000), move |sim| {
-                sim.count("prop.dense", 1);
-                sim.trace(|| lynx_sim::TraceEvent::Custom {
-                    track: "prop".to_string(),
-                    name: "dense".to_string(),
-                    detail: format!("i={i}"),
-                });
-            });
-        }
-        sim.run();
-        // Sparse tail: a self-rescheduling chain keeps pending at 1 with
-        // far-horizon delays across several windows.
-        fn chain(sim: &mut Sim, left: u64) {
-            sim.count("prop.sparse", 1);
-            if left == 0 {
-                return;
-            }
-            sim.schedule_in(Duration::from_millis(2), move |sim| chain(sim, left - 1));
-        }
-        chain(&mut sim, 2_500);
-        sim.run();
-        let status = sim.sched_status();
-        (
-            t.to_jsonl(),
-            t.counters_csv(),
-            t.gauges(),
-            status.switches,
-            sim.executed(),
-        )
-    }
-
-    let hybrid = run(SchedulerKind::Hybrid);
-    let heap = run(SchedulerKind::Heap);
-    let wheel = run(SchedulerKind::Wheel);
-    assert!(
-        hybrid.3 >= 2,
-        "the workload must cross the switch threshold both ways (switches={})",
-        hybrid.3
-    );
-    assert_eq!(heap.3, 0, "fixed schedulers never switch");
-    assert_eq!(hybrid.0, heap.0, "trace bytes diverge from the heap oracle");
-    assert_eq!(hybrid.1, heap.1, "counter snapshots diverge");
-    assert_eq!(hybrid.2, heap.2, "gauge snapshots diverge");
-    assert_eq!(hybrid.4, heap.4);
-    assert_eq!(wheel.0, heap.0);
-    assert_eq!(wheel.1, heap.1);
-    assert_eq!(wheel.2, heap.2);
-}
-
-proptest! {
-    /// Same property under random event mixes: interleave dense bursts and
-    /// sparse stretches so switchovers land at arbitrary points, and
-    /// assert the hybrid's executed order and telemetry stay identical to
-    /// the heap oracle.
-    #[test]
-    fn hybrid_matches_oracle_on_random_density_mixes(
-        phases in proptest::collection::vec((0u32..2, 200u64..900), 2..6)
-    ) {
-        fn run(kind: SchedulerKind, phases: &[(u32, u64)]) -> (Vec<(u64, u64)>, String, u64) {
-            let mut sim = Sim::with_scheduler(11, kind);
-            let t = sim.enable_telemetry();
-            let seen: Rc<RefCell<Vec<(u64, u64)>>> = Rc::new(RefCell::new(Vec::new()));
-            let mut tag = 0u64;
-            for &(dense, n) in phases {
-                let dense = dense == 1;
-                if dense {
-                    // Burst: n*4 events pending at once, near horizon.
-                    for i in 0..n * 4 {
-                        let seen = Rc::clone(&seen);
-                        let id = tag;
-                        tag += 1;
-                        sim.schedule_in(Duration::from_nanos(500 + (i * 131) % 700_000), move |sim| {
-                            seen.borrow_mut().push((sim.now().as_nanos(), id));
-                            sim.count("prop.ev", 1);
-                        });
-                    }
-                } else {
-                    // Sparse: a chain of n far-horizon events, pending 1.
-                    fn chain(sim: &mut Sim, seen: Rc<RefCell<Vec<(u64, u64)>>>, id: u64, left: u64) {
-                        let s2 = Rc::clone(&seen);
-                        sim.schedule_in(Duration::from_millis(3), move |sim| {
-                            s2.borrow_mut().push((sim.now().as_nanos(), id));
-                            sim.count("prop.ev", 1);
-                            if left > 0 {
-                                chain(sim, seen, id + 1, left - 1);
-                            }
-                        });
-                    }
-                    chain(&mut sim, Rc::clone(&seen), tag, n);
-                    tag += n + 1;
-                }
-                sim.run();
-            }
-            let switches = sim.sched_status().switches;
-            (Rc::try_unwrap(seen).unwrap().into_inner(), t.counters_csv(), switches)
-        }
-
-        let hybrid = run(SchedulerKind::Hybrid, &phases);
-        let heap = run(SchedulerKind::Heap, &phases);
-        prop_assert_eq!(&hybrid.0, &heap.0, "execution order diverges from oracle");
-        prop_assert_eq!(&hybrid.1, &heap.1, "counter snapshots diverge");
-        prop_assert_eq!(heap.2, 0u64);
+        let mut expect: Vec<(u64, usize)> =
+            times.iter().enumerate().map(|(i, &t)| (t, i)).collect();
+        expect.sort_by_key(|&(t, _)| t);
+        prop_assert_eq!(&*seen.borrow(), &expect);
     }
 }

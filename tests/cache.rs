@@ -1,6 +1,6 @@
 //! The SNIC-resident hot-key cache end to end: write-through
 //! invalidation on the wire, the serve-stale degradation control loop,
-//! and byte-identity of cache-enabled runs across scheduler backends
+//! and byte-identity of same-seed cache-enabled runs
 //! (the CI matrix reruns this file under `LYNX_SIM_THREADS=1/2/8`).
 
 use std::cell::{Cell, RefCell};
@@ -17,7 +17,7 @@ use lynx::core::{
 };
 use lynx::device::{GpuSpec, RequestProcessor};
 use lynx::net::{HostStack, LinkSpec, Network, Platform, SockAddr, StackKind, StackProfile};
-use lynx::sim::{MultiServer, SchedulerKind, Sim, Telemetry};
+use lynx::sim::{MultiServer, Sim, Telemetry};
 use lynx::workload::{run_measured, ClosedLoopClient, RunSpec, ZipfKeyGen};
 use lynx::{FaultAction, FaultPlan, RecoveryConfig, Trigger};
 
@@ -342,10 +342,9 @@ fn degradation_engages_before_shedding_and_recovers_with_hysteresis() {
     assert!(hot_values.get() > 100, "hot flow was served throughout");
 }
 
-/// One cache-enabled closed-loop run under an explicit scheduler
-/// backend, fully traced.
-fn traced_cache_run(seed: u64, kind: SchedulerKind) -> (Telemetry, u64, u64, String) {
-    let mut sim = Sim::with_scheduler(seed, kind);
+/// One cache-enabled closed-loop run, fully traced.
+fn traced_cache_run(seed: u64) -> (Telemetry, u64, u64, String) {
+    let mut sim = Sim::new(seed);
     let telemetry = sim.enable_telemetry();
     let net = Network::new();
     let machine = Machine::new(&net, "server-0");
@@ -396,36 +395,20 @@ fn traced_cache_run(seed: u64, kind: SchedulerKind) -> (Telemetry, u64, u64, Str
     )
 }
 
-/// Cache-enabled same-seed runs are byte-identical across every
-/// scheduler backend (the CLOCK cache adds no nondeterminism). The CI
-/// thread matrix reruns this under `LYNX_SIM_THREADS=1/2/8`.
+/// Cache-enabled same-seed runs are byte-identical on replay (the CLOCK
+/// cache adds no nondeterminism). The CI thread matrix reruns this under
+/// `LYNX_SIM_THREADS=1/2/8`.
 #[test]
-fn cache_enabled_runs_are_byte_identical_across_schedulers() {
-    let (base_t, base_hits, base_misses, base_tput) = traced_cache_run(4242, SchedulerKind::Heap);
+fn cache_enabled_runs_are_byte_identical_across_replays() {
+    let (base_t, base_hits, base_misses, base_tput) = traced_cache_run(4242);
     assert!(base_t.event_count() > 100, "trace must be non-trivial");
-    for kind in [SchedulerKind::Wheel, SchedulerKind::Hybrid] {
-        let (t, hits, misses, tput) = traced_cache_run(4242, kind);
-        assert_eq!(base_hits, hits, "{kind:?}: hit counts diverge");
-        assert_eq!(base_misses, misses, "{kind:?}: miss counts diverge");
-        assert_eq!(base_tput, tput, "{kind:?}: throughput diverges");
-        assert_eq!(
-            base_t.to_jsonl(),
-            t.to_jsonl(),
-            "{kind:?}: trace bytes diverge"
-        );
-        assert_eq!(
-            base_t.counters(),
-            t.counters(),
-            "{kind:?}: counters diverge"
-        );
-        assert_eq!(base_t.gauges(), t.gauges(), "{kind:?}: gauges diverge");
-    }
-    // And plain same-seed repetition is exact, too.
-    let (t2, hits2, misses2, tput2) = traced_cache_run(4242, SchedulerKind::Heap);
-    assert_eq!(base_hits, hits2);
-    assert_eq!(base_misses, misses2);
-    assert_eq!(base_tput, tput2);
-    assert_eq!(base_t.to_jsonl(), t2.to_jsonl());
+    let (t, hits, misses, tput) = traced_cache_run(4242);
+    assert_eq!(base_hits, hits, "hit counts diverge");
+    assert_eq!(base_misses, misses, "miss counts diverge");
+    assert_eq!(base_tput, tput, "throughput diverges");
+    assert_eq!(base_t.to_jsonl(), t.to_jsonl(), "trace bytes diverge");
+    assert_eq!(base_t.counters(), t.counters(), "counters diverge");
+    assert_eq!(base_t.gauges(), t.gauges(), "gauges diverge");
 }
 
 /// The stale-fill race (two outstanding requests): a GET misses and its

@@ -8,7 +8,7 @@ use std::time::Duration;
 use lynx::core::testbed::{deploy_processor, DeployConfig, Machine};
 use lynx::device::{DelayProcessor, GpuSpec};
 use lynx::net::{HostStack, LinkSpec, Network, Platform, StackKind, StackProfile};
-use lynx::sim::{MultiServer, SchedulerKind, Sim, Telemetry};
+use lynx::sim::{MultiServer, Sim, Telemetry};
 use lynx::workload::{run_measured, ClosedLoopClient, OpenLoopClient, RunSpec, RunSummary};
 use lynx::{FaultAction, FaultPlan, Trigger};
 
@@ -59,10 +59,10 @@ fn identical_seeds_reproduce_bit_identical_results() {
     assert_eq!(a.latency.mean(), b.latency.mean());
 }
 
-/// One fully-traced closed-loop run of the whole Lynx pipeline under an
-/// explicit scheduler backend, optionally with a fault plan armed.
-fn traced_run(seed: u64, kind: SchedulerKind, faults: bool) -> (Telemetry, RunSummary) {
-    let mut sim = Sim::with_scheduler(seed, kind);
+/// One fully-traced closed-loop run of the whole Lynx pipeline,
+/// optionally with a fault plan armed.
+fn traced_run(seed: u64, faults: bool) -> (Telemetry, RunSummary) {
+    let mut sim = Sim::new(seed);
     let telemetry = sim.enable_telemetry();
     let net = Network::new();
     let machine = Machine::new(&net, "server-0");
@@ -81,7 +81,7 @@ fn traced_run(seed: u64, kind: SchedulerKind, faults: bool) -> (Telemetry, RunSu
     );
     if faults {
         // Recoverable CQE errors on the RDMA write path keep the retry
-        // machinery (timers well in the wheel's overflow range) busy.
+        // machinery busy.
         sim.enable_faults(FaultPlan::new(seed).rule_limited(
             "rdma.write",
             Trigger::Every {
@@ -108,54 +108,35 @@ fn traced_run(seed: u64, kind: SchedulerKind, faults: bool) -> (Telemetry, RunSu
     (telemetry, summary)
 }
 
-/// Every scheduler backend is an exact drop-in for the binary-heap
-/// oracle: a same-seed end-to-end run produces byte-identical telemetry
-/// under wheel, heap, and the adaptive hybrid — same trace bytes, same
-/// counter and gauge snapshots, same summary. This is the differential
-/// guarantee that lets the engine pick a backend per deployment without
-/// any figure shifting by a byte.
+/// A same-seed end-to-end replay is observably identical, with and
+/// without faults: same trace bytes, same counter and gauge snapshots,
+/// same summary.
 #[test]
-fn wheel_and_heap_schedulers_are_observably_identical() {
+fn same_seed_traced_runs_are_observably_identical() {
     for faults in [false, true] {
-        let (heap_t, heap_s) = traced_run(4242, SchedulerKind::Heap, faults);
-        assert!(heap_t.event_count() > 1_000, "trace must be non-trivial");
-        for kind in [SchedulerKind::Wheel, SchedulerKind::Hybrid] {
-            let (t, s) = traced_run(4242, kind, faults);
-            assert_eq!(
-                t.to_jsonl(),
-                heap_t.to_jsonl(),
-                "trace bytes diverge (kind={kind:?}, faults={faults})"
-            );
-            assert_eq!(t.to_chrome_trace(), heap_t.to_chrome_trace());
-            assert_eq!(
-                t.counters_csv(),
-                heap_t.counters_csv(),
-                "counter snapshots diverge (kind={kind:?}, faults={faults})"
-            );
-            assert_eq!(t.counters(), heap_t.counters());
-            assert_eq!(t.gauges(), heap_t.gauges());
-            assert_eq!(s.sent, heap_s.sent);
-            assert_eq!(s.received, heap_s.received);
-            assert_eq!(s.throughput, heap_s.throughput);
-            for p in [1.0, 50.0, 99.0, 99.9] {
-                assert_eq!(s.latency.percentile(p), heap_s.latency.percentile(p));
-            }
+        let (first_t, first_s) = traced_run(4242, faults);
+        assert!(first_t.event_count() > 1_000, "trace must be non-trivial");
+        let (t, s) = traced_run(4242, faults);
+        assert_eq!(
+            t.to_jsonl(),
+            first_t.to_jsonl(),
+            "trace bytes diverge (faults={faults})"
+        );
+        assert_eq!(t.to_chrome_trace(), first_t.to_chrome_trace());
+        assert_eq!(
+            t.counters_csv(),
+            first_t.counters_csv(),
+            "counter snapshots diverge (faults={faults})"
+        );
+        assert_eq!(t.counters(), first_t.counters());
+        assert_eq!(t.gauges(), first_t.gauges());
+        assert_eq!(s.sent, first_s.sent);
+        assert_eq!(s.received, first_s.received);
+        assert_eq!(s.throughput, first_s.throughput);
+        for p in [1.0, 50.0, 99.0, 99.9] {
+            assert_eq!(s.latency.percentile(p), first_s.latency.percentile(p));
         }
     }
-}
-
-/// `LYNX_SCHED=wheel|heap|hybrid` is the escape hatch: `Sim::new`
-/// consults the env var (unset means the adaptive hybrid default),
-/// `Sim::with_scheduler` pins the backend explicitly.
-#[test]
-fn scheduler_kind_env_escape_hatch_parses() {
-    let expect = match std::env::var("LYNX_SCHED") {
-        Ok(v) if v.eq_ignore_ascii_case("heap") => SchedulerKind::Heap,
-        Ok(v) if v.eq_ignore_ascii_case("wheel") => SchedulerKind::Wheel,
-        _ => SchedulerKind::Hybrid,
-    };
-    assert_eq!(SchedulerKind::from_env(), expect);
-    assert_eq!(SchedulerKind::default(), SchedulerKind::Hybrid);
 }
 
 #[test]

@@ -17,7 +17,7 @@ use lynx::core::{
 use lynx::device::{CpuKind, EchoProcessor, GpuSpec, RequestProcessor};
 use lynx::net::{HostStack, LinkSpec, Network, Platform, SockAddr, StackKind, StackProfile};
 use lynx::sim::shard::FinishFn;
-use lynx::sim::{MultiServer, SchedulerKind, Sim, SimConfig, Telemetry, Time};
+use lynx::sim::{MultiServer, Sim, SimConfig, Telemetry, Time};
 use lynx::workload::{run_measured, ClosedLoopClient, LoadClient, RunSpec};
 
 /// A processor that tags every response with a tenant marker byte.
@@ -300,9 +300,9 @@ fn eviction_of_in_flight_function_defers_until_drain() {
 /// stage installed, one client cycling across every registered function
 /// (cold starts + LRU eviction churn) and one client hammering the
 /// quota-zero function (typed sheds on the empty-reply path).
-fn traced_tenancy_run(seed: u64, kind: SchedulerKind) -> (Telemetry, String) {
+fn traced_tenancy_run(seed: u64) -> (Telemetry, String) {
     const FUNCS: u32 = 24;
-    let mut sim = Sim::with_scheduler(seed, kind);
+    let mut sim = Sim::new(seed);
     let telemetry = sim.enable_telemetry();
     let net = Network::new();
     let machine = Machine::new(&net, "server-0");
@@ -385,28 +385,22 @@ fn traced_tenancy_run(seed: u64, kind: SchedulerKind) -> (Telemetry, String) {
     (telemetry, digest)
 }
 
-/// Same-seed tenancy runs are byte-identical across every scheduler
-/// backend: cold-start timers, LRU tie-breaks and quota sheds all come
-/// off the deterministic clock, never the backend.
+/// Same-seed tenancy runs are byte-identical on replay: cold-start
+/// timers, LRU tie-breaks and quota sheds all come off the deterministic
+/// clock.
 #[test]
-fn tenancy_runs_are_byte_identical_across_schedulers() {
-    let (heap_t, heap_d) = traced_tenancy_run(7_700, SchedulerKind::Heap);
-    assert!(heap_t.event_count() > 1_000, "trace must be non-trivial");
-    for kind in [SchedulerKind::Wheel, SchedulerKind::Hybrid] {
-        let (t, d) = traced_tenancy_run(7_700, kind);
-        assert_eq!(d, heap_d, "digest diverged under {kind:?}");
-        assert_eq!(
-            t.to_jsonl(),
-            heap_t.to_jsonl(),
-            "trace bytes diverge ({kind:?})"
-        );
-        assert_eq!(
-            t.counters_csv(),
-            heap_t.counters_csv(),
-            "counter snapshots diverge ({kind:?})"
-        );
-        assert_eq!(t.gauges(), heap_t.gauges());
-    }
+fn tenancy_runs_are_byte_identical_across_replays() {
+    let (first_t, first_d) = traced_tenancy_run(7_700);
+    assert!(first_t.event_count() > 1_000, "trace must be non-trivial");
+    let (t, d) = traced_tenancy_run(7_700);
+    assert_eq!(d, first_d, "digest diverged on replay");
+    assert_eq!(t.to_jsonl(), first_t.to_jsonl(), "trace bytes diverge");
+    assert_eq!(
+        t.counters_csv(),
+        first_t.counters_csv(),
+        "counter snapshots diverge"
+    );
+    assert_eq!(t.gauges(), first_t.gauges());
 }
 
 /// One serverless replica for the partitioned engine (same shape as
