@@ -59,7 +59,7 @@ fn bench_mqueue(c: &mut Criterion) {
             let (s, data) = mq.acc_pop_request().expect("pending request");
             mq.acc_push_response(&mut sim, s, &data);
             let (s2, _, _) = mq.begin_pull().expect("pending response");
-            mq.complete(s2);
+            mq.complete_n(s2, 1, drop);
             black_box(s2)
         })
     });

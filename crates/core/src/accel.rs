@@ -406,7 +406,7 @@ mod tests {
         inject(&mut sim, &mq, b"hello");
         sim.run();
         assert_eq!(worker.completed(), 1);
-        let (seq, _, len) = mq.peek_response().unwrap();
+        let (seq, _, len) = mq.begin_pull().unwrap();
         let resp = mq.mem().read(mq.tx_slot_offset(seq) + 8, len);
         assert_eq!(resp, b"hello");
     }
@@ -428,13 +428,13 @@ mod tests {
         sim.run();
         assert_eq!(worker.completed(), 5);
         for i in 0..5u64 {
-            let (seq, _, len) = mq.peek_response().unwrap();
+            let (seq, _, len) = mq.begin_pull().unwrap();
             assert_eq!(seq, i);
             assert_eq!(
                 mq.mem().read(mq.tx_slot_offset(seq) + 8, len),
                 vec![i as u8]
             );
-            mq.complete(seq);
+            mq.complete_n(seq, 1, drop);
         }
     }
 
@@ -469,9 +469,9 @@ mod tests {
         // into the client mqueue's RX ring, uppercased.
         let cmq2 = cmq.clone();
         cmq.set_tx_watcher(move |sim| {
-            if let Some((seq, _ret, len)) = cmq2.peek_response() {
+            if let Some((seq, _ret, len)) = cmq2.begin_pull() {
                 let req = cmq2.mem().read(cmq2.tx_slot_offset(seq) + 8, len);
-                cmq2.complete(seq);
+                cmq2.complete_n(seq, 1, drop);
                 let resp: Vec<u8> = req.iter().map(|b| b.to_ascii_uppercase()).collect();
                 let rseq = cmq2.try_reserve(ReturnAddr::Fixed).unwrap();
                 let slot = cmq2.encode_slot(rseq, &resp);
@@ -483,7 +483,7 @@ mod tests {
         inject(&mut sim, &mq, b"key1");
         sim.run();
         assert_eq!(worker.completed(), 1);
-        let (seq, _, len) = mq.peek_response().unwrap();
+        let (seq, _, len) = mq.begin_pull().unwrap();
         assert_eq!(mq.mem().read(mq.tx_slot_offset(seq) + 8, len), b"KEY1");
     }
 

@@ -17,15 +17,6 @@ pub enum Error {
         /// Label of the full mqueue.
         queue: String,
     },
-    /// The Remote MQ Manager exhausted its retry budget talking to an
-    /// accelerator (injected CQE errors / verb timeouts; see
-    /// `docs/ROBUSTNESS.md`).
-    Transport {
-        /// Label of the mqueue the verbs targeted.
-        queue: String,
-        /// Total attempts made before giving up.
-        attempts: u32,
-    },
     /// A configuration was rejected at build time (zero slots, undersized
     /// memory, missing listener, ...).
     Config(String),
@@ -67,10 +58,6 @@ impl fmt::Display for Error {
             Error::Backpressure { queue } => {
                 write!(f, "mqueue '{queue}' is full (backpressure)")
             }
-            Error::Transport { queue, attempts } => write!(
-                f,
-                "transport to mqueue '{queue}' failed after {attempts} attempts"
-            ),
             Error::Config(msg) => write!(f, "configuration error: {msg}"),
             Error::InvalidConfig { field, reason } => {
                 write!(f, "invalid configuration: {field}: {reason}")
@@ -102,14 +89,6 @@ mod tests {
             queue: "gpu0+0x0".into(),
         };
         assert_eq!(e.to_string(), "mqueue 'gpu0+0x0' is full (backpressure)");
-        let e = Error::Transport {
-            queue: "gpu0+0x0".into(),
-            attempts: 5,
-        };
-        assert_eq!(
-            e.to_string(),
-            "transport to mqueue 'gpu0+0x0' failed after 5 attempts"
-        );
         let e = Error::Config("slots must be a power of two".into());
         assert!(e.to_string().contains("power of two"));
         let e = Error::InvalidConfig {

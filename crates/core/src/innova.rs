@@ -162,11 +162,12 @@ impl InnovaReceiver {
         // per-message cost on a host core, off the FPGA's fast path.
         helper.submit(sim, helper_cost, |_| {});
         // The AFU writes metadata + payload onto the ring via the UC QP.
-        let slot = mq.encode_slot(seq, &payload);
-        let offset = mq.rx_slot_offset(seq);
-        let mem = mq.mem();
-        qp.post_write(sim, slot, &mem, offset, move |sim| {
-            mq.notify_rx(sim);
+        let slot = vec![(mq.rx_slot_offset(seq), mq.encode_slot(seq, &payload).into())];
+        qp.post_write(sim, slot, &mq.mem(), move |sim, landed| {
+            // A write struck by an injected CQE error never rings the ring.
+            if landed[0].is_ok() {
+                mq.notify_rx(sim);
+            }
         });
     }
 }

@@ -317,6 +317,11 @@ impl Mqueue {
         self.inner.borrow().label.clone()
     }
 
+    /// Whether `self` and `other` are handles to the same queue.
+    pub(crate) fn same(&self, other: &Mqueue) -> bool {
+        Rc::ptr_eq(&self.inner, &other.inner)
+    }
+
     /// Requests currently in flight.
     ///
     /// For a server mqueue: requests pushed whose responses have not yet
@@ -347,7 +352,7 @@ impl Mqueue {
     }
 
     /// Total responses already collected (completed) by the SNIC — the
-    /// sequence number the next [`Mqueue::complete`] must carry.
+    /// sequence number the next [`Mqueue::complete_n`] must start at.
     pub fn collected(&self) -> u64 {
         self.inner.borrow().tx_popped
     }
@@ -581,39 +586,12 @@ impl Mqueue {
         }
     }
 
-    /// Collects the next ready response header, if any: returns
-    /// `(seq, return address, payload length)`. The payload bytes must then
-    /// be fetched (RDMA read) from [`Mqueue::tx_slot_offset`] and the slot
-    /// released with [`Mqueue::complete`].
-    #[cfg_attr(not(test), allow(dead_code))] // production code claims via begin_pull
-    pub(crate) fn peek_response(&self) -> Option<(u64, ReturnAddr, usize)> {
-        let inner = self.inner.borrow();
-        if inner.tx_popped >= inner.tx_pushed {
-            return None;
-        }
-        let seq = inner.tx_popped;
-        let off = inner.tx_base + (seq as usize % inner.cfg.slots) * inner.cfg.slot_size;
-        let len = inner.mem.read_u32(off) as usize;
-        let ret = match inner.kind {
-            MqueueKind::Server => {
-                inner
-                    .inflight
-                    .front()
-                    .expect("response without matching request")
-                    .ctx
-                    .ret
-            }
-            MqueueKind::Client => ReturnAddr::Fixed,
-        };
-        Some((seq, ret, len))
-    }
-
     /// Claims the next response for collection, advancing the pull cursor:
-    /// returns `(seq, return address, payload length)`. Unlike
-    /// [`Mqueue::peek_response`], consecutive calls claim consecutive
-    /// responses, so overlapping RDMA reads never collect the same slot.
-    /// The slot must still be released with [`Mqueue::complete`] once the
-    /// read lands.
+    /// returns `(seq, return address, payload length)`. Consecutive calls
+    /// claim consecutive responses, so overlapping RDMA reads never
+    /// collect the same slot. The payload bytes must then be fetched (RDMA
+    /// read) from [`Mqueue::tx_slot_offset`] and the slot released with
+    /// [`Mqueue::complete_n`] once the read lands.
     #[doc(hidden)]
     pub fn begin_pull(&self) -> Option<(u64, ReturnAddr, usize)> {
         let mut inner = self.inner.borrow_mut();
@@ -639,51 +617,30 @@ impl Mqueue {
         Some((seq, ret, len))
     }
 
-    /// Releases the slot of a collected response, freeing an RX credit,
-    /// and returns the request's context.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `seq` is not the oldest outstanding response (responses
-    /// are collected in order).
-    #[doc(hidden)]
-    pub fn complete(&self, seq: u64) -> ReqCtx {
-        let mut inner = self.inner.borrow_mut();
-        Self::advance_collected(&mut inner, seq, 1);
-        Self::pop_slot(&mut inner)
-    }
-
-    /// Releases `n` consecutive collected responses starting at
-    /// `first_seq`, freeing their RX credits in one bulk acknowledgement —
-    /// the batched forwarder's completion path (one bookkeeping pass per
-    /// collected batch instead of one per message). Returns the requests'
-    /// contexts in order.
+    /// Releases `n` consecutive claimed responses starting at `first_seq`,
+    /// freeing their RX credits in one bulk acknowledgement, and hands
+    /// each request's context to `each`, oldest first.
     ///
     /// # Panics
     ///
     /// Panics if `first_seq` is not the oldest outstanding response, or if
-    /// fewer than `n` responses have been produced.
-    pub(crate) fn complete_n(&self, first_seq: u64, n: u64) -> Vec<ReqCtx> {
-        if n == 0 {
-            return Vec::new();
+    /// fewer than `n` responses have been claimed with
+    /// [`Mqueue::begin_pull`].
+    #[doc(hidden)]
+    pub fn complete_n(&self, first_seq: u64, n: u64, mut each: impl FnMut(ReqCtx)) {
+        {
+            let mut inner = self.inner.borrow_mut();
+            assert_eq!(first_seq, inner.tx_popped, "responses complete in order");
+            assert!(
+                first_seq + n <= inner.tx_pulled,
+                "completing responses that were never claimed"
+            );
+            inner.tx_popped += n;
         }
-        let mut inner = self.inner.borrow_mut();
-        Self::advance_collected(&mut inner, first_seq, n);
-        (0..n).map(|_| Self::pop_slot(&mut inner)).collect()
-    }
-
-    /// Advances the collection cursor past `n` responses starting at
-    /// `first_seq` (the slots themselves are popped by the caller).
-    fn advance_collected(inner: &mut Inner, first_seq: u64, n: u64) {
-        assert_eq!(first_seq, inner.tx_popped, "responses complete in order");
-        assert!(
-            first_seq + n <= inner.tx_pushed,
-            "completing responses that were never produced"
-        );
-        inner.tx_popped += n;
-        // Completion via peek_response never claimed the slots through
-        // begin_pull; keep the pull cursor from falling behind.
-        inner.tx_pulled = inner.tx_pulled.max(inner.tx_popped);
+        for _ in 0..n {
+            let ctx = Self::pop_slot(&mut self.inner.borrow_mut());
+            each(ctx);
+        }
     }
 
     /// Responses produced by the accelerator but not yet claimed for
@@ -840,11 +797,11 @@ mod tests {
         assert_eq!(s2, seq);
         assert_eq!(payload, b"face-image-bytes");
         q.acc_push_response(&mut sim, seq, b"match");
-        let (s3, ret, len) = q.peek_response().unwrap();
+        let (s3, ret, len) = q.begin_pull().unwrap();
         assert_eq!((s3, ret, len), (seq, client, 5));
         let bytes = q.mem().read(q.tx_slot_offset(seq) + SLOT_HEADER, len);
         assert_eq!(bytes, b"match");
-        q.complete(seq);
+        q.complete_n(seq, 1, drop);
         assert_eq!(q.in_flight(), 0);
     }
 
@@ -885,8 +842,8 @@ mod tests {
             let (_, p) = q.acc_pop_request().unwrap();
             assert_eq!(p, vec![round as u8]);
             q.acc_push_response(&mut sim, seq, &[round as u8 + 100]);
-            let (s, _, _) = q.peek_response().unwrap();
-            q.complete(s);
+            let (s, _, _) = q.begin_pull().unwrap();
+            q.complete_n(s, 1, drop);
         }
         assert_eq!(q.drops(), 0);
     }
@@ -905,10 +862,12 @@ mod tests {
         q.acc_pop_request().unwrap();
         q.acc_push_response(&mut sim, s1, b"ra");
         q.acc_push_response(&mut sim, s2, b"rb");
-        let (seq, ret, _) = q.peek_response().unwrap();
+        let (seq, ret, _) = q.begin_pull().unwrap();
         assert_eq!(ret, c1);
-        q.complete(seq);
-        let (_, ret2, _) = q.peek_response().unwrap();
+        let mut got = Vec::new();
+        q.complete_n(seq, 1, |ctx| got.push(ctx.ret));
+        assert_eq!(got, [c1]);
+        let (_, ret2, _) = q.begin_pull().unwrap();
         assert_eq!(ret2, c2);
     }
 
@@ -1018,7 +977,7 @@ mod tests {
             q.begin_pull().unwrap();
         }
         assert_eq!(q.pending_responses(), 0);
-        q.complete_n(0, 3);
+        q.complete_n(0, 3, drop);
         assert_eq!(q.in_flight(), 0);
         assert_eq!(q.collected(), 3);
         // Freed credits are immediately reusable.
@@ -1035,7 +994,19 @@ mod tests {
         q.acc_pop_request().unwrap();
         q.acc_push_response(&mut sim, seq, b"y");
         q.begin_pull().unwrap();
-        q.complete_n(1, 1);
+        q.complete_n(1, 1, drop);
+    }
+
+    #[test]
+    #[should_panic(expected = "never claimed")]
+    fn completion_needs_a_claim() {
+        let mut sim = Sim::new(0);
+        let q = mq(MqueueKind::Server, 4);
+        let seq = q.try_reserve(ReturnAddr::Fixed).unwrap();
+        land(&q, seq, b"x");
+        q.acc_pop_request().unwrap();
+        q.acc_push_response(&mut sim, seq, b"y");
+        q.complete_n(seq, 1, drop);
     }
 
     #[test]
@@ -1050,8 +1021,8 @@ mod tests {
             q.stage_slot(&pool, seq, Payload::from(slot));
             q.acc_pop_request().unwrap();
             q.acc_push_response(&mut sim, seq, &[round as u8]);
-            let (s, _, _) = q.peek_response().unwrap();
-            q.complete(s);
+            let (s, _, _) = q.begin_pull().unwrap();
+            q.complete_n(s, 1, drop);
         }
         assert_eq!(pool.idle(), 1, "one scratch buffer cycles through");
         let (hits, misses) = pool.stats();
@@ -1073,8 +1044,8 @@ mod tests {
         q.stage_slot(&pool, seq, Payload::from(slot));
         q.acc_pop_request().unwrap();
         q.acc_push_response(&mut sim, seq, b"y");
-        let (s, _, _) = q.peek_response().unwrap();
-        q.complete(s);
+        let (s, _, _) = q.begin_pull().unwrap();
+        q.complete_n(s, 1, drop);
         q.drain(&mut sim);
         assert_eq!(t.gauge_value("buffer_pool.idle"), Some(pool.idle() as f64));
         // Repeated drain cycles don't grow the watermark.
@@ -1115,7 +1086,8 @@ mod tests {
         }
         let (first, _, _) = q.begin_pull().unwrap();
         q.begin_pull().unwrap();
-        let ctxs = q.complete_n(first, 2);
+        let mut ctxs = Vec::new();
+        q.complete_n(first, 2, |ctx| ctxs.push(ctx));
         assert_eq!(ctxs[0], ReqCtx::new(ReturnAddr::Fixed), "never attached");
         assert_eq!(
             ctxs[1],
@@ -1135,9 +1107,12 @@ mod tests {
         let q = mq(MqueueKind::Client, 4);
         // Client mqueue TX: the accelerator sends a backend request.
         q.acc_push_response(&mut sim, 0, b"get key7");
-        let (seq, ret, len) = q.peek_response().unwrap();
+        let (seq, ret, len) = q.begin_pull().unwrap();
         assert_eq!(ret, ReturnAddr::Fixed);
         assert_eq!(len, 8);
-        q.complete(seq);
+        let mut got = Vec::new();
+        q.complete_n(seq, 1, |ctx| got.push(ctx));
+        assert_eq!(got, [ReqCtx::new(ReturnAddr::Fixed)]);
+        assert_eq!(q.collected(), 1);
     }
 }

@@ -1281,7 +1281,7 @@ impl LynxServer {
             held: Vec<(Option<CacheTicket>, Option<FnId>)>,
         }
         let mut groups: Vec<Group> = Vec::new();
-        let mut traces: Vec<(&'static str, Option<String>)> = Vec::new();
+        let mut traces: Vec<(&'static str, Option<Mqueue>)> = Vec::new();
         // SNIC-local answers produced at the dispatch stage: cache hits
         // go back on the batched UDP reply path; offloaded kernels first
         // charge their accumulated work on this core's lane.
@@ -1328,9 +1328,10 @@ impl LynxServer {
                 Self::count_dispatch(&inner, i, policy, picked.is_some());
                 match picked {
                     Some((rmq, mq)) => {
-                        let label = mq.label();
-                        traces.push((policy, Some(label.clone())));
-                        match groups.iter_mut().find(|g| g.mq.label() == label) {
+                        traces.push((policy, Some(mq.clone())));
+                        // By identity, not label: labels come from region
+                        // names, which need not be unique.
+                        match groups.iter_mut().find(|g| g.mq.same(&mq)) {
                             Some(g) => {
                                 g.items.push((req.ret, req.payload));
                                 g.held.push((ticket, req.func));
@@ -1353,8 +1354,11 @@ impl LynxServer {
                 }
             }
         }
-        for (policy, queue) in traces {
-            sim.trace(|| TraceEvent::Dispatch { policy, queue });
+        for (policy, mq) in traces {
+            sim.trace(|| TraceEvent::Dispatch {
+                policy,
+                queue: mq.map(|mq| mq.label()),
+            });
         }
         if !hits.is_empty() {
             // One batched stack invocation per service, like the
@@ -1481,7 +1485,8 @@ impl LynxServer {
                 // The dispatcher checked for room, so backpressure here is
                 // impossible; a transport give-up (faults) is counted by
                 // the retry machinery and surfaces as a lost UDP request.
-                match rmq.push_request(sim, &mq, ret, &payload, |_, _| {}) {
+                let pushed = rmq.push_requests(sim, &mq, [(ret, payload)]);
+                match pushed.into_iter().next().expect("one result per item") {
                     Ok(seq) => mq.attach(seq, sim.now(), ticket, func),
                     Err(_) => self.inner.borrow_mut().release(ticket, func),
                 }
@@ -1541,15 +1546,17 @@ impl LynxServer {
                 stack.charge(sim, cost, move |sim| {
                     let this2 = this.clone();
                     let mq2 = mq.clone();
-                    rmq.pull_response(sim, &mq, move |sim, ctx, payload| {
-                        let reply = {
-                            let mut inner = this2.inner.borrow_mut();
-                            let reply = inner.settle(sim.now(), service, &mq2, ctx, payload);
-                            inner.publish_cache_bytes();
-                            reply
-                        };
-                        if let Some((ret, payload)) = reply {
-                            this2.send_reply(sim, service, ret, payload);
+                    rmq.pull_responses(sim, &mq, 1, move |sim, collected| {
+                        for (ctx, payload) in collected {
+                            let reply = {
+                                let mut inner = this2.inner.borrow_mut();
+                                let reply = inner.settle(sim.now(), service, &mq2, ctx, payload);
+                                inner.publish_cache_bytes();
+                                reply
+                            };
+                            if let Some((ret, payload)) = reply {
+                                this2.send_reply(sim, service, ret, payload);
+                            }
                         }
                     });
                 });
@@ -1743,23 +1750,22 @@ impl LynxServer {
         let this = self.clone();
         let stack2 = stack.clone();
         stack.charge(sim, cost, move |sim| {
-            rmq.pull_response(sim, &mq, move |sim, _ctx, payload| {
+            rmq.pull_responses(sim, &mq, 1, move |sim, collected| {
                 // A call the transport gave up on is lost, like a dropped
                 // packet.
-                let Some(payload) = payload else {
-                    return;
-                };
-                {
-                    let inner = this.inner.borrow();
-                    inner
-                        .sites
-                        .backend_calls
-                        .add(&inner.stats, "server.backend_calls", 1);
-                }
-                let conn = bridge.borrow().conn;
-                match conn {
-                    Some(conn) => stack2.send_tcp(sim, conn, payload),
-                    None => bridge.borrow_mut().queued.push(payload),
+                for payload in collected.into_iter().filter_map(|(_, p)| p) {
+                    {
+                        let inner = this.inner.borrow();
+                        inner
+                            .sites
+                            .backend_calls
+                            .add(&inner.stats, "server.backend_calls", 1);
+                    }
+                    let conn = bridge.borrow().conn;
+                    match conn {
+                        Some(conn) => stack2.send_tcp(sim, conn, payload),
+                        None => bridge.borrow_mut().queued.push(payload),
+                    }
                 }
             });
         });
@@ -1779,7 +1785,7 @@ impl LynxServer {
         stack.charge(sim, cost, move |sim| {
             // A full client ring sheds the backend response; the mqueue's
             // sink counts the drop.
-            let _ = rmq.push_request(sim, &mq, ReturnAddr::Fixed, &payload, |_, _| {});
+            rmq.push_requests(sim, &mq, [(ReturnAddr::Fixed, payload)]);
         });
     }
 

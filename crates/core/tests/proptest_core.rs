@@ -44,7 +44,7 @@ proptest! {
             let (s2, _, len) = q.begin_pull().unwrap();
             let resp = q.mem().read(q.tx_slot_offset(s2) + 8, len);
             prop_assert_eq!(&resp, payload);
-            q.complete(s2);
+            q.complete_n(s2, 1, drop);
         }
         prop_assert_eq!(q.drops(), 0);
         prop_assert_eq!(q.in_flight(), 0);
@@ -70,7 +70,7 @@ proptest! {
         q.acc_pop_request().unwrap();
         q.acc_push_response(&mut sim, seq, b"y");
         let (s, _, _) = q.begin_pull().unwrap();
-        q.complete(s);
+        q.complete_n(s, 1, drop);
         prop_assert!(q.try_reserve(ReturnAddr::Fixed).is_ok());
         prop_assert!(q.try_reserve(ReturnAddr::Fixed).is_err());
     }
@@ -92,7 +92,7 @@ proptest! {
             q.acc_push_response(&mut sim, seq, &[i as u8]);
             let (s, ret, _) = q.begin_pull().unwrap();
             prop_assert_eq!(ret, ReturnAddr::Udp(SockAddr::new(HostId(c), c as u16)));
-            q.complete(s);
+            q.complete_n(s, 1, drop);
         }
     }
 

@@ -113,7 +113,9 @@ impl Gpu {
             (node.0 as usize) < fabric.node_count(),
             "GPU node must belong to the fabric"
         );
-        let mem = MemRegion::new(node, spec.mem_bytes, spec.name);
+        // Named after its fabric node (e.g. `server-0/gpu0`), so the
+        // mqueues, counters and fault sites of same-model GPUs stay apart.
+        let mem = MemRegion::new(node, spec.mem_bytes, fabric.node_name(node));
         Gpu {
             inner: Rc::new(RefCell::new(Inner {
                 spec,

@@ -6,6 +6,10 @@
 //! peer-to-peer PCIe DMA; for remote accelerators the same verbs traverse
 //! the network to the accelerator's own RDMA NIC. Both paths share this
 //! model, differing only in their [`WireProfile`].
+//!
+//! Both one-sided verbs post *chains*: every span is its own work-queue
+//! element, but the chain rings one doorbell. A one-span chain is a plain
+//! verb.
 
 use std::cell::RefCell;
 use std::fmt;
@@ -244,172 +248,106 @@ impl QueuePair {
         (occupancy, self.wire.latency + pcie)
     }
 
-    /// Posts a one-sided RDMA WRITE of `data` into `dst[dst_off..]`.
+    /// Draws each span's fault verdict and charges a chain of `spans`
+    /// verbs moving `bytes` to the QP's counters. Returns the QP
+    /// occupancy, the landing delay and one result per span: a
+    /// placeholder `Ok` the completion fills in, or the `Err` of a span an
+    /// armed fault plan struck.
     ///
-    /// The bytes become visible in `dst` and `done` runs when the write
-    /// lands. Writes posted on the same QP land in posting order. `data`
-    /// is any [`Payload`]-convertible payload; passing a `Payload` handle the
-    /// caller retains for retries costs an `Rc` bump, not a copy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the destination range is out of bounds or the target node
-    /// is unreachable from the QP's remote NIC.
-    pub fn post_write(
+    /// Each span is its own hit of site `rdma.<verb>.<region>`, so
+    /// `Trigger::Nth` counts verbs, not chains. A `CqeError` fault strikes
+    /// its span only; a `Delay` fault models a PCIe stall and stretches
+    /// the landing of the whole chain.
+    fn charge<T: Default>(
         &self,
         sim: &mut Sim,
-        data: impl Into<Payload>,
-        dst: &MemRegion,
-        dst_off: usize,
-        done: impl FnOnce(&mut Sim) + 'static,
-    ) {
-        self.post_write_checked(sim, data, dst, dst_off, move |sim, result| {
-            // Unchecked legacy path: an injected CQE error silently drops
-            // the completion callback (the write never landed).
-            if result.is_ok() {
-                done(sim);
-            }
-        });
-    }
-
-    /// [`QueuePair::post_write`] with an explicit completion status.
-    ///
-    /// `done` receives `Ok(())` when the write landed, or
-    /// `Err(`[`CqeError`]`)` when an armed fault plan struck the verb (site
-    /// `rdma.write.<region name>`, action `CqeError`). An errored write
-    /// consumes occupancy and wire time like a successful one but leaves
-    /// the destination memory untouched; a `Delay` fault models a PCIe
-    /// stall, stretching the landing time. With no fault plan armed this
-    /// behaves exactly like `post_write` with `Ok` status.
-    pub fn post_write_checked(
-        &self,
-        sim: &mut Sim,
-        data: impl Into<Payload>,
-        dst: &MemRegion,
-        dst_off: usize,
-        done: impl FnOnce(&mut Sim, Result<(), CqeError>) + 'static,
-    ) {
-        let data = data.into();
-        let (occupancy, mut delay) = self.landing_delay(dst.node(), data.len());
-        let mut cqe: Option<CqeError> = None;
-        if sim.faults_enabled() {
-            match sim.fault_at(&format!("rdma.write.{}", dst.name())) {
-                Some(FaultAction::CqeError) => {
-                    cqe = Some(CqeError {
-                        verb: "write",
-                        region: dst.name().to_string(),
-                    });
-                }
-                Some(FaultAction::Delay(stall)) => delay += stall,
-                _ => {}
-            }
-        }
-        {
-            let mut s = self.stats.borrow_mut();
-            s.writes += 1;
-            s.bytes += data.len() as u64;
-        }
-        if let Some(t) = sim.telemetry() {
-            self.sites.writes.add(t, "fabric.rdma.writes", 1);
-            self.sites.doorbells.add(t, "fabric.rdma.doorbells", 1);
-            self.sites
-                .bytes
-                .add(t, "fabric.rdma.bytes", data.len() as u64);
-            if cqe.is_some() {
-                self.sites.cqe_errors.add(t, "fabric.rdma.cqe_errors", 1);
-            }
-        }
-        let dst = dst.clone();
-        self.queue.submit(sim, occupancy, move |sim| {
-            sim.schedule_in(delay, move |sim| match cqe {
-                None => {
-                    dst.write(dst_off, &data);
-                    done(sim, Ok(()));
-                }
-                Some(err) => done(sim, Err(err)),
-            });
-        });
-    }
-
-    /// Posts a *chained* one-sided RDMA WRITE: every `(offset, bytes)` span
-    /// in `spans` is a separate work-queue element, but the whole chain is
-    /// issued with a **single doorbell** and charges the NIC ASIC only one
-    /// `per_wqe` slot — this is the verb-coalescing that amortizes
-    /// per-message RDMA cost in the batched SNIC pipeline (cf. the paper's
-    /// doorbell-batching discussion).
-    ///
-    /// Fault injection is evaluated **per span** at site
-    /// `rdma.write.<region>`: a `CqeError` fault skips that span's memory
-    /// write only; the rest of the chain still lands (RDMA WRITEs carry no
-    /// inter-WQE dependency). `done` runs once, when the chain completes,
-    /// with one `Result` per span in posting order — the batched CQE
-    /// completion fan-out.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `spans` is empty, a destination range is out of bounds, or
-    /// the target node is unreachable from the QP's remote NIC.
-    pub fn post_write_vectored<B: Into<Payload>>(
-        &self,
-        sim: &mut Sim,
-        spans: Vec<(usize, B)>,
-        dst: &MemRegion,
-        done: impl FnOnce(&mut Sim, Vec<Result<(), CqeError>>) + 'static,
-    ) {
-        assert!(!spans.is_empty(), "vectored write needs at least one span");
-        let spans: Vec<(usize, Payload)> =
-            spans.into_iter().map(|(off, d)| (off, d.into())).collect();
-        let total: usize = spans.iter().map(|(_, d)| d.len()).sum();
-        let (occupancy, mut delay) = self.landing_delay(dst.node(), total);
-        // Per-span fault check: each WQE in the chain is its own fault
-        // site hit, so Trigger::Nth counts identically to unbatched posts
-        // and a struck verb retries only its own span.
-        let mut cqes: Vec<Option<CqeError>> = Vec::with_capacity(spans.len());
-        for _ in &spans {
-            let mut cqe = None;
+        verb: &'static str,
+        region: &MemRegion,
+        spans: usize,
+        bytes: usize,
+    ) -> (Duration, Duration, Vec<Result<T, CqeError>>) {
+        assert!(spans > 0, "a chain needs at least one span");
+        let (occupancy, mut delay) = self.landing_delay(region.node(), bytes);
+        let mut results = Vec::with_capacity(spans);
+        for _ in 0..spans {
+            let mut result = Ok(T::default());
             if sim.faults_enabled() {
-                match sim.fault_at(&format!("rdma.write.{}", dst.name())) {
+                match sim.fault_at(&format!("rdma.{verb}.{}", region.name())) {
                     Some(FaultAction::CqeError) => {
-                        cqe = Some(CqeError {
-                            verb: "write",
-                            region: dst.name().to_string(),
-                        });
+                        result = Err(CqeError {
+                            verb,
+                            region: region.name().to_string(),
+                        })
                     }
                     Some(FaultAction::Delay(stall)) => delay += stall,
                     _ => {}
                 }
             }
-            cqes.push(cqe);
+            results.push(result);
         }
+        let write = verb == "write";
         {
             let mut s = self.stats.borrow_mut();
-            s.writes += spans.len() as u64;
-            s.bytes += total as u64;
+            if write {
+                s.writes += spans as u64;
+            } else {
+                s.reads += spans as u64;
+            }
+            s.bytes += bytes as u64;
         }
         if let Some(t) = sim.telemetry() {
-            self.sites
-                .writes
-                .add(t, "fabric.rdma.writes", spans.len() as u64);
+            let (site, name) = if write {
+                (&self.sites.writes, "fabric.rdma.writes")
+            } else {
+                (&self.sites.reads, "fabric.rdma.reads")
+            };
+            site.add(t, name, spans as u64);
             self.sites.doorbells.add(t, "fabric.rdma.doorbells", 1);
-            self.sites.bytes.add(t, "fabric.rdma.bytes", total as u64);
-            let errors = cqes.iter().filter(|c| c.is_some()).count() as u64;
+            self.sites.bytes.add(t, "fabric.rdma.bytes", bytes as u64);
+            let errors = results.iter().filter(|r| r.is_err()).count() as u64;
             if errors > 0 {
                 self.sites
                     .cqe_errors
                     .add(t, "fabric.rdma.cqe_errors", errors);
             }
         }
+        (occupancy, delay, results)
+    }
+
+    /// Posts a chained one-sided RDMA WRITE: each `(offset, bytes)` span
+    /// of `spans` is its own work-queue element, but the chain rings a
+    /// **single doorbell** and takes one `per_wqe` NIC slot. This is the
+    /// verb coalescing that amortizes per-message RDMA cost (paper §5.1,
+    /// §6.2); a one-span chain is a plain write.
+    ///
+    /// The bytes become visible in `dst` when the chain lands, and `done`
+    /// then runs once with one result per span, in posting order. Chains
+    /// posted on the same QP land in posting order. A span an armed fault
+    /// plan struck (site `rdma.write.<region>`, action `CqeError`) leaves
+    /// its range of `dst` untouched and reports `Err(`[`CqeError`]`)`; the
+    /// other spans still land, as RDMA WRITEs carry no inter-WQE
+    /// dependency. Reposting a shared [`Payload`] costs an `Rc` bump, not
+    /// a copy.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `spans` is empty, a destination range is out of bounds,
+    /// or the target node is unreachable from the QP's remote NIC.
+    pub fn post_write(
+        &self,
+        sim: &mut Sim,
+        spans: Vec<(usize, Payload)>,
+        dst: &MemRegion,
+        done: impl FnOnce(&mut Sim, Vec<Result<(), CqeError>>) + 'static,
+    ) {
+        let bytes = spans.iter().map(|(_, d)| d.len()).sum();
+        let (occupancy, delay, results) = self.charge(sim, "write", dst, spans.len(), bytes);
         let dst = dst.clone();
         self.queue.submit(sim, occupancy, move |sim| {
             sim.schedule_in(delay, move |sim| {
-                let mut results = Vec::with_capacity(spans.len());
-                for ((off, data), cqe) in spans.into_iter().zip(cqes) {
-                    match cqe {
-                        None => {
-                            dst.write(off, &data);
-                            results.push(Ok(()));
-                        }
-                        Some(err) => results.push(Err(err)),
+                for ((off, data), result) in spans.iter().zip(&results) {
+                    if result.is_ok() {
+                        dst.write(*off, data);
                     }
                 }
                 done(sim, results);
@@ -417,115 +355,23 @@ impl QueuePair {
         });
     }
 
-    /// Posts a one-sided RDMA READ of `len` bytes from `src[src_off..]`.
+    /// Posts a chained one-sided RDMA READ of each `(offset, len)` span of
+    /// `spans` from `src`: one doorbell and one `per_wqe` NIC slot for the
+    /// chain, the read-side twin of [`QueuePair::post_write`].
     ///
-    /// `done` receives the bytes (as a shared [`Payload`] buffer) as they
-    /// were at the moment the read reached the target memory. Total
-    /// latency is a full round trip.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called on an [`QpKind::UnreliableConnection`] QP (UC does
-    /// not support RDMA READ), if the source range is out of bounds, or if
-    /// the target node is unreachable.
-    pub fn post_read(
-        &self,
-        sim: &mut Sim,
-        src: &MemRegion,
-        src_off: usize,
-        len: usize,
-        done: impl FnOnce(&mut Sim, Payload) + 'static,
-    ) {
-        self.post_read_checked(sim, src, src_off, len, move |sim, result| {
-            // Unchecked legacy path: an injected CQE error silently drops
-            // the completion callback (the data never arrived).
-            if let Ok(data) = result {
-                done(sim, data);
-            }
-        });
-    }
-
-    /// [`QueuePair::post_read`] with an explicit completion status.
-    ///
-    /// `done` receives the bytes, or `Err(`[`CqeError`]`)` when an armed
-    /// fault plan struck the verb (site `rdma.read.<region name>`, action
-    /// `CqeError`). An errored read still takes the full round trip but
-    /// never samples the source memory; a `Delay` fault stretches both
-    /// legs' landing time. With no fault plan armed this behaves exactly
-    /// like `post_read` with `Ok` status.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called on an [`QpKind::UnreliableConnection`] QP.
-    pub fn post_read_checked(
-        &self,
-        sim: &mut Sim,
-        src: &MemRegion,
-        src_off: usize,
-        len: usize,
-        done: impl FnOnce(&mut Sim, Result<Payload, CqeError>) + 'static,
-    ) {
-        assert!(
-            self.kind == QpKind::ReliableConnection,
-            "RDMA READ requires a Reliable Connection QP"
-        );
-        let (occupancy, mut delay) = self.landing_delay(src.node(), len);
-        let mut cqe: Option<CqeError> = None;
-        if sim.faults_enabled() {
-            match sim.fault_at(&format!("rdma.read.{}", src.name())) {
-                Some(FaultAction::CqeError) => {
-                    cqe = Some(CqeError {
-                        verb: "read",
-                        region: src.name().to_string(),
-                    });
-                }
-                Some(FaultAction::Delay(stall)) => delay += stall,
-                _ => {}
-            }
-        }
-        {
-            let mut s = self.stats.borrow_mut();
-            s.reads += 1;
-            s.bytes += len as u64;
-        }
-        if let Some(t) = sim.telemetry() {
-            self.sites.reads.add(t, "fabric.rdma.reads", 1);
-            self.sites.doorbells.add(t, "fabric.rdma.doorbells", 1);
-            self.sites.bytes.add(t, "fabric.rdma.bytes", len as u64);
-            if cqe.is_some() {
-                self.sites.cqe_errors.add(t, "fabric.rdma.cqe_errors", 1);
-            }
-        }
-        let src = src.clone();
-        self.queue.submit(sim, occupancy, move |sim| {
-            // Request reaches the target after `delay`; data is sampled
-            // there and returns after another `delay`.
-            sim.schedule_in(delay, move |sim| match cqe {
-                None => {
-                    let data = Payload::from(src.read(src_off, len));
-                    sim.schedule_in(delay, move |sim| done(sim, Ok(data)));
-                }
-                Some(err) => sim.schedule_in(delay, move |sim| done(sim, Err(err))),
-            });
-        });
-    }
-
-    /// Posts a *chained* one-sided RDMA READ: every `(offset, len)` span is
-    /// its own work-queue element but the chain is issued with a **single
-    /// doorbell** and one `per_wqe` ASIC slot, and completes in one round
-    /// trip. The read-side analogue of [`QueuePair::post_write_vectored`].
-    ///
-    /// Fault injection is evaluated per span at site `rdma.read.<region>`;
-    /// a struck span returns `Err(`[`CqeError`]`)` in its slot while the
-    /// other spans return their data. `done` runs once with one `Result`
-    /// per span in posting order.
+    /// `done` runs once, a full round trip later, with each span's bytes
+    /// (a shared [`Payload`]) as they were when the read reached `src`, in
+    /// posting order. A span an armed fault plan struck (site
+    /// `rdma.read.<region>`, action `CqeError`) never samples `src` and
+    /// reports `Err(`[`CqeError`]`)`; a `Delay` fault stretches both legs.
     ///
     /// # Panics
     ///
     /// Panics if `spans` is empty, if called on an
-    /// [`QpKind::UnreliableConnection`] QP, if a source range is out of
-    /// bounds, or if the target node is unreachable.
-    pub fn post_read_vectored(
+    /// [`QpKind::UnreliableConnection`] QP (UC does not support RDMA
+    /// READ), if a source range is out of bounds, or if the target node is
+    /// unreachable.
+    pub fn post_read(
         &self,
         sim: &mut Sim,
         src: &MemRegion,
@@ -536,55 +382,18 @@ impl QueuePair {
             self.kind == QpKind::ReliableConnection,
             "RDMA READ requires a Reliable Connection QP"
         );
-        assert!(!spans.is_empty(), "vectored read needs at least one span");
-        let total: usize = spans.iter().map(|(_, len)| len).sum();
-        let (occupancy, mut delay) = self.landing_delay(src.node(), total);
-        let mut cqes: Vec<Option<CqeError>> = Vec::with_capacity(spans.len());
-        for _ in &spans {
-            let mut cqe = None;
-            if sim.faults_enabled() {
-                match sim.fault_at(&format!("rdma.read.{}", src.name())) {
-                    Some(FaultAction::CqeError) => {
-                        cqe = Some(CqeError {
-                            verb: "read",
-                            region: src.name().to_string(),
-                        });
-                    }
-                    Some(FaultAction::Delay(stall)) => delay += stall,
-                    _ => {}
-                }
-            }
-            cqes.push(cqe);
-        }
-        {
-            let mut s = self.stats.borrow_mut();
-            s.reads += spans.len() as u64;
-            s.bytes += total as u64;
-        }
-        if let Some(t) = sim.telemetry() {
-            self.sites
-                .reads
-                .add(t, "fabric.rdma.reads", spans.len() as u64);
-            self.sites.doorbells.add(t, "fabric.rdma.doorbells", 1);
-            self.sites.bytes.add(t, "fabric.rdma.bytes", total as u64);
-            let errors = cqes.iter().filter(|c| c.is_some()).count() as u64;
-            if errors > 0 {
-                self.sites
-                    .cqe_errors
-                    .add(t, "fabric.rdma.cqe_errors", errors);
-            }
-        }
+        let bytes = spans.iter().map(|(_, len)| len).sum();
+        let (occupancy, delay, mut results) = self.charge(sim, "read", src, spans.len(), bytes);
         let src = src.clone();
         self.queue.submit(sim, occupancy, move |sim| {
+            // The request reaches the target after `delay`; the data is
+            // sampled there and returns after another `delay`.
             sim.schedule_in(delay, move |sim| {
-                let results: Vec<Result<Payload, CqeError>> = spans
-                    .into_iter()
-                    .zip(cqes)
-                    .map(|((off, len), cqe)| match cqe {
-                        None => Ok(Payload::from(src.read(off, len))),
-                        Some(err) => Err(err),
-                    })
-                    .collect();
+                for ((off, len), result) in spans.into_iter().zip(&mut results) {
+                    if let Ok(data) = result {
+                        *data = Payload::from(src.read(off, len));
+                    }
+                }
                 sim.schedule_in(delay, move |sim| done(sim, results));
             });
         });
@@ -617,7 +426,7 @@ impl QueuePair {
 mod tests {
     use super::*;
     use crate::PcieLink;
-    use lynx_sim::Time;
+    use lynx_sim::{FaultPlan, Time, Trigger};
     use std::cell::Cell;
     use std::rc::Rc;
 
@@ -634,15 +443,30 @@ mod tests {
         (sim, rnic, gpu_mem)
     }
 
+    /// A one-span chain: `data` at `off`.
+    fn span(off: usize, data: impl Into<Payload>) -> Vec<(usize, Payload)> {
+        vec![(off, data.into())]
+    }
+
+    /// Posts a one-span write and returns the cell its landing time goes to.
+    fn timed_write(
+        sim: &mut Sim,
+        qp: &QueuePair,
+        mem: &MemRegion,
+        off: usize,
+        data: Vec<u8>,
+    ) -> Rc<Cell<Time>> {
+        let landed = Rc::new(Cell::new(Time::ZERO));
+        let l = Rc::clone(&landed);
+        qp.post_write(sim, span(off, data), mem, move |sim, _| l.set(sim.now()));
+        landed
+    }
+
     #[test]
     fn write_lands_with_payload() {
         let (mut sim, nic, gpu_mem) = rig();
         let qp = nic.loopback_qp();
-        let landed = Rc::new(Cell::new(Time::ZERO));
-        let l = Rc::clone(&landed);
-        qp.post_write(&mut sim, b"request".to_vec(), &gpu_mem, 100, move |sim| {
-            l.set(sim.now());
-        });
+        let landed = timed_write(&mut sim, &qp, &gpu_mem, 100, b"request".to_vec());
         assert_eq!(gpu_mem.read(100, 7), vec![0; 7]);
         sim.run();
         assert_eq!(gpu_mem.read(100, 7), b"request");
@@ -656,9 +480,9 @@ mod tests {
         let (mut sim, nic, gpu_mem) = rig();
         let qp = nic.loopback_qp();
         // Data write then doorbell write: doorbell must land second.
-        qp.post_write(&mut sim, vec![0xAA; 64], &gpu_mem, 0, |_| {});
+        qp.post_write(&mut sim, span(0, vec![0xAA; 64]), &gpu_mem, |_, _| {});
         let gm = gpu_mem.clone();
-        qp.post_write(&mut sim, vec![1], &gpu_mem, 512, move |_| {
+        qp.post_write(&mut sim, span(512, vec![1]), &gpu_mem, move |_, _| {
             // When the doorbell lands, the data must already be there.
             assert_eq!(gm.read(0, 64), vec![0xAA; 64]);
         });
@@ -671,21 +495,17 @@ mod tests {
         let (mut sim, nic, gpu_mem) = rig();
         gpu_mem.write(0, b"resp");
         let qp = nic.loopback_qp();
-        let got = Rc::new(RefCell::new(Payload::new()));
+        let got = Rc::new(RefCell::new(Vec::new()));
         let g = Rc::clone(&got);
-        let write_landed = Rc::new(Cell::new(Time::ZERO));
+        let write_landed = timed_write(&mut sim, &qp, &gpu_mem, 64, vec![9]);
         let read_done = Rc::new(Cell::new(Time::ZERO));
-        let wl = Rc::clone(&write_landed);
-        qp.post_write(&mut sim, vec![9], &gpu_mem, 64, move |sim| {
-            wl.set(sim.now())
-        });
         let rd = Rc::clone(&read_done);
-        qp.post_read(&mut sim, &gpu_mem, 0, 4, move |sim, data| {
-            *g.borrow_mut() = data;
+        qp.post_read(&mut sim, &gpu_mem, vec![(0, 4)], move |sim, r| {
+            *g.borrow_mut() = r;
             rd.set(sim.now());
         });
         sim.run();
-        assert_eq!(got.borrow()[..], b"resp"[..]);
+        assert_eq!(got.borrow()[0].as_ref().unwrap()[..], b"resp"[..]);
         // Read is a round trip: completes strictly after the one-way write.
         assert!(read_done.get() > write_landed.get());
     }
@@ -701,22 +521,29 @@ mod tests {
             nic.fabric.clone(),
             nic.node(),
         );
-        qp.post_read(&mut sim, &gpu_mem, 0, 4, |_, _| {});
+        qp.post_read(&mut sim, &gpu_mem, vec![(0, 4)], |_, _| {});
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one span")]
+    fn empty_chain_is_rejected() {
+        let (mut sim, nic, gpu_mem) = rig();
+        nic.loopback_qp()
+            .post_write(&mut sim, Vec::new(), &gpu_mem, |_, _| {});
     }
 
     #[test]
     fn stats_track_ops() {
         let (mut sim, nic, gpu_mem) = rig();
         let qp = nic.loopback_qp();
-        qp.post_write(&mut sim, vec![0; 100], &gpu_mem, 0, |_| {});
-        qp.post_read(&mut sim, &gpu_mem, 0, 50, |_, _| {});
+        qp.post_write(&mut sim, span(0, vec![0; 100]), &gpu_mem, |_, _| {});
+        qp.post_read(&mut sim, &gpu_mem, vec![(0, 50)], |_, _| {});
         sim.run();
         assert_eq!(qp.stats(), (1, 1, 150));
     }
 
     #[test]
     fn injected_cqe_error_skips_memory_but_costs_time() {
-        use lynx_sim::{FaultPlan, Trigger};
         let (mut sim, nic, gpu_mem) = rig();
         sim.enable_faults(FaultPlan::new(0).rule(
             "rdma.write.gpu-mem",
@@ -725,36 +552,28 @@ mod tests {
         ));
         sim.enable_telemetry();
         let qp = nic.loopback_qp();
-        let outcome = Rc::new(RefCell::new(None));
+        let outcome = Rc::new(RefCell::new(Vec::new()));
         let o = Rc::clone(&outcome);
         let completed = Rc::new(Cell::new(Time::ZERO));
         let c = Rc::clone(&completed);
-        qp.post_write_checked(&mut sim, vec![7; 16], &gpu_mem, 0, move |sim, r| {
-            *o.borrow_mut() = Some(r);
+        qp.post_write(&mut sim, span(0, vec![7; 16]), &gpu_mem, move |sim, r| {
+            *o.borrow_mut() = r;
             c.set(sim.now());
         });
         sim.run();
-        let err = outcome.borrow_mut().take().unwrap().unwrap_err();
+        let err = outcome.borrow_mut().pop().unwrap().unwrap_err();
         assert_eq!(err.verb, "write");
         assert_eq!(err.region, "gpu-mem");
         // Memory untouched, but the verb consumed wire time.
         assert_eq!(gpu_mem.read(0, 16), vec![0; 16]);
         assert!(completed.get() > Time::from_nanos(1_300));
-        assert_eq!(
-            sim.telemetry().unwrap().counter("fabric.rdma.cqe_errors"),
-            1
-        );
-        assert_eq!(
-            sim.telemetry()
-                .unwrap()
-                .counter("faults.injected.cqe_error"),
-            1
-        );
+        let t = sim.telemetry().unwrap();
+        assert_eq!(t.counter("fabric.rdma.cqe_errors"), 1);
+        assert_eq!(t.counter("faults.injected.cqe_error"), 1);
     }
 
     #[test]
     fn injected_read_error_completes_without_data() {
-        use lynx_sim::{FaultPlan, Trigger};
         let (mut sim, nic, gpu_mem) = rig();
         gpu_mem.write(0, b"resp");
         sim.enable_faults(FaultPlan::new(0).rule(
@@ -763,18 +582,17 @@ mod tests {
             FaultAction::CqeError,
         ));
         let qp = nic.loopback_qp();
-        let got = Rc::new(RefCell::new(None));
+        let got = Rc::new(RefCell::new(Vec::new()));
         let g = Rc::clone(&got);
-        qp.post_read_checked(&mut sim, &gpu_mem, 0, 4, move |_, r| {
-            *g.borrow_mut() = Some(r);
+        qp.post_read(&mut sim, &gpu_mem, vec![(0, 4)], move |_, r| {
+            *g.borrow_mut() = r;
         });
         sim.run();
-        assert!(got.borrow().as_ref().unwrap().is_err());
+        assert!(got.borrow()[0].is_err());
     }
 
     #[test]
     fn injected_pcie_stall_delays_landing() {
-        use lynx_sim::{FaultPlan, Trigger};
         let run = |stall_us: u64| {
             let (mut sim, nic, gpu_mem) = rig();
             if stall_us > 0 {
@@ -785,11 +603,7 @@ mod tests {
                 ));
             }
             let qp = nic.loopback_qp();
-            let landed = Rc::new(Cell::new(Time::ZERO));
-            let l = Rc::clone(&landed);
-            qp.post_write(&mut sim, vec![1; 8], &gpu_mem, 0, move |sim| {
-                l.set(sim.now());
-            });
+            let landed = timed_write(&mut sim, &qp, &gpu_mem, 0, vec![1; 8]);
             sim.run();
             landed.get()
         };
@@ -799,15 +613,15 @@ mod tests {
     }
 
     #[test]
-    fn vectored_write_lands_all_spans_with_one_doorbell() {
+    fn chained_write_lands_all_spans_with_one_doorbell() {
         let (mut sim, nic, gpu_mem) = rig();
         sim.enable_telemetry();
         let qp = nic.loopback_qp();
         let done = Rc::new(RefCell::new(Vec::new()));
         let d = Rc::clone(&done);
-        qp.post_write_vectored(
+        qp.post_write(
             &mut sim,
-            vec![(0, b"aaaa".to_vec()), (64, b"bb".to_vec())],
+            vec![(0, b"aaaa".to_vec().into()), (64, b"bb".to_vec().into())],
             &gpu_mem,
             move |_, results| *d.borrow_mut() = results,
         );
@@ -822,7 +636,7 @@ mod tests {
     }
 
     #[test]
-    fn vectored_read_returns_per_span_results() {
+    fn chained_read_returns_per_span_results() {
         let (mut sim, nic, gpu_mem) = rig();
         sim.enable_telemetry();
         gpu_mem.write(0, b"head");
@@ -830,7 +644,7 @@ mod tests {
         let qp = nic.loopback_qp();
         let done = Rc::new(RefCell::new(Vec::new()));
         let d = Rc::clone(&done);
-        qp.post_read_vectored(&mut sim, &gpu_mem, vec![(0, 4), (128, 4)], move |_, r| {
+        qp.post_read(&mut sim, &gpu_mem, vec![(0, 4), (128, 4)], move |_, r| {
             *d.borrow_mut() = r;
         });
         sim.run();
@@ -841,8 +655,7 @@ mod tests {
     }
 
     #[test]
-    fn vectored_write_fault_strikes_one_span_only() {
-        use lynx_sim::{FaultPlan, Trigger};
+    fn chained_write_fault_strikes_one_span_only() {
         let (mut sim, nic, gpu_mem) = rig();
         // Second WQE of the chain errors; first still lands.
         sim.enable_faults(FaultPlan::new(0).rule(
@@ -853,12 +666,12 @@ mod tests {
         let qp = nic.loopback_qp();
         let done = Rc::new(RefCell::new(Vec::new()));
         let d = Rc::clone(&done);
-        qp.post_write_vectored(
-            &mut sim,
-            vec![(0, vec![1; 8]), (64, vec![2; 8]), (200, vec![3; 8])],
-            &gpu_mem,
-            move |_, results| *d.borrow_mut() = results,
-        );
+        let spans = [(0, 1u8), (64, 2), (200, 3)]
+            .map(|(off, b)| (off, Payload::from(vec![b; 8])))
+            .to_vec();
+        qp.post_write(&mut sim, spans, &gpu_mem, move |_, results| {
+            *d.borrow_mut() = results
+        });
         sim.run();
         let got = done.borrow();
         assert!(got[0].is_ok());
@@ -874,28 +687,24 @@ mod tests {
     }
 
     #[test]
-    fn vectored_write_matches_chain_timing() {
-        // A 2-span chain completes no later than two separate posts: it
-        // saves one per_wqe ASIC slot.
+    fn chain_beats_separate_posts() {
+        // A 2-span chain completes before two separate posts: it saves
+        // one per_wqe NIC slot.
         let (mut sim, nic, gpu_mem) = rig();
         let qp = nic.loopback_qp();
         let t_chain = Rc::new(Cell::new(Time::ZERO));
         let tc = Rc::clone(&t_chain);
-        qp.post_write_vectored(
+        qp.post_write(
             &mut sim,
-            vec![(0, vec![1; 256]), (256, vec![2; 256])],
+            vec![(0, vec![1; 256].into()), (256, vec![2; 256].into())],
             &gpu_mem,
             move |sim, _| tc.set(sim.now()),
         );
         sim.run();
         let (mut sim2, nic2, gpu_mem2) = rig();
         let qp2 = nic2.loopback_qp();
-        let t_sep = Rc::new(Cell::new(Time::ZERO));
-        qp2.post_write(&mut sim2, vec![1; 256], &gpu_mem2, 0, |_| {});
-        let ts = Rc::clone(&t_sep);
-        qp2.post_write(&mut sim2, vec![2; 256], &gpu_mem2, 256, move |sim| {
-            ts.set(sim.now())
-        });
+        qp2.post_write(&mut sim2, span(0, vec![1; 256]), &gpu_mem2, |_, _| {});
+        let t_sep = timed_write(&mut sim2, &qp2, &gpu_mem2, 256, vec![2; 256]);
         sim2.run();
         assert!(t_chain.get() < t_sep.get());
     }
@@ -910,17 +719,8 @@ mod tests {
             nic.fabric.clone(),
             nic.node(),
         );
-        let (t_local, t_remote) = (
-            Rc::new(Cell::new(Time::ZERO)),
-            Rc::new(Cell::new(Time::ZERO)),
-        );
-        let (a, b) = (Rc::clone(&t_local), Rc::clone(&t_remote));
-        local.post_write(&mut sim, vec![0; 64], &gpu_mem, 0, move |sim| {
-            a.set(sim.now())
-        });
-        remote.post_write(&mut sim, vec![0; 64], &gpu_mem, 64, move |sim| {
-            b.set(sim.now())
-        });
+        let t_local = timed_write(&mut sim, &local, &gpu_mem, 0, vec![0; 64]);
+        let t_remote = timed_write(&mut sim, &remote, &gpu_mem, 64, vec![0; 64]);
         sim.run();
         assert!(t_remote.get() > t_local.get() + Duration::from_micros(1));
     }

@@ -1,6 +1,6 @@
 //! Edge cases of the batched multi-core SNIC pipeline.
 //!
-//! Four properties are pinned down end to end:
+//! Five properties are pinned down end to end:
 //!
 //! 1. `BatchPolicy::Fixed(1)` is the unbatched pipeline — byte-identical
 //!    event sequence, not merely similar throughput;
@@ -10,7 +10,10 @@
 //! 3. a faulted verb inside a coalesced RDMA batch retries only its own
 //!    span, deterministically across reruns and for several seeds;
 //! 4. when a ring fills mid-batch, only the tail of the batch sees
-//!    [`Backpressure`](lynx::Error::Backpressure) — the head still lands.
+//!    [`Backpressure`](lynx::Error::Backpressure) — the head still lands;
+//! 5. a batch spread over same-model accelerators pushes each request
+//!    into the queue the dispatcher picked for it, and every queue keeps
+//!    its own label and drop counter.
 
 use std::rc::Rc;
 use std::time::Duration;
@@ -21,7 +24,7 @@ use lynx::core::{
 };
 use lynx::device::{DelayProcessor, GpuSpec};
 use lynx::net::{LinkSpec, Network};
-use lynx::sim::Sim;
+use lynx::sim::{Sim, TraceEvent};
 use lynx::workload::{run_measured, ClosedLoopClient, RunSpec, RunSummary};
 use lynx::{Error, FaultAction, FaultPlan, Trigger};
 
@@ -234,4 +237,109 @@ fn partial_batch_reports_backpressure_for_tail_only() {
     // Both head slots reached accelerator memory.
     assert_eq!(mq.in_flight(), 2);
     assert_eq!(mq.drops(), 2);
+}
+
+/// Two K40m GPUs with one mqueue each behind one batching SNIC core,
+/// overloaded by 8 closed-loop clients so the rings fill. Returns each
+/// queue's label, pushes, drops and dispatcher picks (counted from the
+/// `Dispatch` trace), plus the server's `mqueue_drops()`.
+fn run_two_k40m() -> (Vec<(String, u64, u64, u64)>, u64) {
+    let mut sim = Sim::new(1);
+    let telemetry = sim.enable_telemetry();
+    let net = Network::new();
+    let machine = Machine::new(&net, "server-0");
+    let gpus = [
+        machine.add_gpu(GpuSpec::k40m()),
+        machine.add_gpu(GpuSpec::k40m()),
+    ];
+    let sites: Vec<_> = gpus.iter().map(|g| machine.gpu_site(g)).collect();
+    let cfg = DeployConfig {
+        mqueues_per_gpu: 1,
+        pipeline: PipelineConfig {
+            snic_cores: 1,
+            batch: BatchPolicy::Fixed(8),
+        },
+        ..DeployConfig::default()
+    };
+    let d = deploy_processor(
+        &mut sim,
+        &net,
+        &machine,
+        &sites,
+        &cfg,
+        Rc::new(DelayProcessor::new(Duration::from_micros(20))),
+    );
+    let clients: Vec<ClosedLoopClient> = (0..8)
+        .map(|i| {
+            ClosedLoopClient::new(
+                lynx_bench_client(&net, &format!("client-{i}")),
+                d.server_addr,
+                64,
+                Rc::new(|seq| vec![seq as u8; 64]),
+            )
+        })
+        .collect();
+    let refs: Vec<&dyn lynx::workload::LoadClient> = clients
+        .iter()
+        .map(|c| c as &dyn lynx::workload::LoadClient)
+        .collect();
+    let spec = RunSpec {
+        warmup: Duration::from_millis(1),
+        measure: Duration::from_millis(5),
+    };
+    run_measured(&mut sim, &refs, spec);
+    let picks = |label: &str| {
+        telemetry.with_records(|records| {
+            records
+                .iter()
+                .filter(|r| {
+                    matches!(&r.event, TraceEvent::Dispatch { queue: Some(q), .. } if q == label)
+                })
+                .count() as u64
+        })
+    };
+    let queues = d
+        .mqueues
+        .iter()
+        .map(|mq| {
+            let label = mq.label();
+            let picked = picks(&label);
+            (label, mq.pushed(), mq.drops(), picked)
+        })
+        .collect();
+    (queues, d.server.mqueue_drops())
+}
+
+/// A batch groups its requests by target queue identity: requests the
+/// dispatcher picked for GPU 1 land in GPU 1's ring even though both
+/// GPUs are the same model. Every pick is either pushed into its queue
+/// or rejected there by backpressure.
+#[test]
+fn batched_dispatch_pushes_into_the_picked_queue() {
+    let (queues, _) = run_two_k40m();
+    assert_eq!(queues.len(), 2);
+    for (label, pushed, drops, picked) in &queues {
+        assert!(*pushed > 0, "{label}: the rig must load both queues");
+        assert_eq!(
+            pushed + drops,
+            *picked,
+            "{label}: pushed {pushed} + rejected {drops} != picked {picked}"
+        );
+    }
+}
+
+/// Same-model GPUs get distinct mqueue labels (named after their fabric
+/// node), so per-queue counters stay apart and `mqueue_drops()` counts
+/// each backpressure rejection once.
+#[test]
+fn same_model_gpus_get_distinct_mqueue_labels() {
+    let (queues, mqueue_drops) = run_two_k40m();
+    let labels: Vec<&str> = queues.iter().map(|q| q.0.as_str()).collect();
+    assert_eq!(labels, ["server-0/gpu0+0x0", "server-0/gpu1+0x0"]);
+    let rejected: u64 = queues
+        .iter()
+        .map(|(_, pushed, _, picked)| picked - pushed)
+        .sum();
+    assert!(rejected > 0, "the rig must overload the rings");
+    assert_eq!(mqueue_drops, rejected);
 }
