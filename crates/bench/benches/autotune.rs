@@ -62,7 +62,7 @@ fn echo_point(name: &'static str, delay: Duration, slo: Duration) -> Point {
             gpus: 1,
             mqueues_per_gpu: 240,
             snic_cores: 1,
-            batch: BatchPolicy::Unbatched,
+            batch: BatchPolicy::Fixed(1),
             slots: 32,
             cache: false,
         },
@@ -86,7 +86,7 @@ fn lenet_point() -> Point {
             gpus: 4,
             mqueues_per_gpu: 1,
             snic_cores: 1,
-            batch: BatchPolicy::Unbatched,
+            batch: BatchPolicy::Fixed(1),
             slots: 16,
             cache: false,
         },

@@ -48,7 +48,7 @@ fn tuned_fig8b_config_is_pinned() {
             gpus: 4,
             mqueues_per_gpu: 30,
             snic_cores: 1,
-            batch: BatchPolicy::Unbatched,
+            batch: BatchPolicy::Fixed(1),
             slots: 16,
             cache: false,
         },
@@ -81,7 +81,7 @@ fn tuned_fig8b_deployment_replays_byte_identically() {
         cfg.pipeline,
         PipelineConfig {
             snic_cores: 1,
-            batch: BatchPolicy::Unbatched
+            batch: BatchPolicy::Fixed(1)
         }
     );
     assert_eq!(

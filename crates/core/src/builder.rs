@@ -172,8 +172,8 @@ impl LynxServerBuilder {
     }
 
     /// Sets the batching policy of the request and response pipelines
-    /// (defaults to [`BatchPolicy::Unbatched`], the exact per-message
-    /// event sequence of earlier releases).
+    /// (defaults to `BatchPolicy::Fixed(1)`: per-message dispatch on the
+    /// shared lane pool).
     pub fn batch(mut self, policy: BatchPolicy) -> Self {
         self.pipeline.batch = policy;
         self

@@ -41,13 +41,12 @@ pub enum Error {
         /// Index of the tenant service that shed the request.
         service: usize,
     },
-    /// A response could not be routed back to its client: the mqueue slot
-    /// carried no usable return address (a [`crate::ReturnAddr::Fixed`]
-    /// entry surfacing on a server path, or a UDP reply from a service
-    /// that never bound a UDP port). The response is shed and counted;
-    /// within a batch, only the unroutable message is affected.
+    /// A request matched no registered tenant function
+    /// ([`crate::tenancy::Tenancy::decide`]); it is shed with the empty
+    /// marker reply. (A reply with no usable return address is not an
+    /// error value: the server sheds it and counts `server.unroutable`.)
     Unroutable {
-        /// Index of the tenant service whose reply was shed.
+        /// Index of the tenant service the request arrived on.
         service: usize,
     },
 }

@@ -68,7 +68,7 @@ pub use error::{Error, Result};
 pub use hostcentric::HostCentricServer;
 pub use innova::InnovaReceiver;
 pub use mqueue::{Mqueue, MqueueConfig, MqueueKind, ReqCtx, ReturnAddr, SLOT_HEADER};
-pub use pipeline::{BatchPolicy, Pipeline, PipelineConfig};
+pub use pipeline::{BatchPolicy, PipelineConfig};
 pub use rmq::{RemoteMqManager, RmqConfig};
 pub use server::{
     CacheStats, CostModel, LynxServer, RecoveryConfig, ServerStats, ServiceId, SnicPlatform,

@@ -8,63 +8,51 @@
 //! configuration and runtime state of that pipeline:
 //!
 //! * [`PipelineConfig`] — how many simulated SNIC cores run the
-//!   dispatcher/forwarder ([`PipelineConfig::snic_cores`]) and how
-//!   aggressively each core batches ([`BatchPolicy`]).
-//! * [`Pipeline`] — the per-core staging queues the sharded dispatcher
-//!   drains. Each incoming request is sharded to core `key % snic_cores`
-//!   and drained in deterministic FIFO order, pinned to that core's lane
-//!   of the SNIC's [`lynx_net::HostStack`] pool.
+//!   dispatcher/forwarder ([`PipelineConfig::snic_cores`]) and how many
+//!   messages each core drains per invocation ([`BatchPolicy`]).
+//! * `Pipeline` (crate-private) — the per-core staging queues the
+//!   sharded dispatcher drains. Each incoming request is sharded to core
+//!   `key % snic_cores` and drained in deterministic FIFO order, pinned to
+//!   that core's lane of the SNIC's [`lynx_net::HostStack`] pool.
 //!
-//! # Default = legacy
+//! # One request path
 //!
-//! The default configuration (`snic_cores = 1`,
-//! [`BatchPolicy::Unbatched`]) takes the *exact* pre-pipeline code path:
-//! every message is dispatched immediately on the join-shortest-completion
-//! lane pool, byte-identical to servers built before this API existed.
-//! Batching machinery only engages when the effective batch size can
-//! exceed one — [`BatchPolicy::Fixed`]`(1)` is therefore *defined* as
-//! equivalent to `Unbatched` (see [`PipelineConfig::is_batched`]), which
-//! is what makes "batch size 1 equals unbatched byte-identically" hold by
-//! construction.
+//! Batching amortizes per-message costs; it does not change what happens
+//! to a request. The server runs the same dispatch, forward and reply
+//! code at every batch size. The default, `Fixed(1)`, dispatches each
+//! message the moment it arrives, as a batch of one, on the shared
+//! join-shortest-completion lane pool. Staging, per-core lanes and the
+//! coalesced forward cycle engage only when a batch can hold two or more
+//! messages (see [`PipelineConfig::is_batched`]).
 
-use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::fmt;
-use std::rc::Rc;
 
 use crate::{ReturnAddr, ServiceId};
 
 /// How many messages a SNIC core drains per pipeline invocation.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+///
+/// `Fixed(b)` drains up to `b` staged messages per invocation: a drain
+/// takes what is staged, never waiting for a batch to fill, so an idle
+/// core still sends a singleton at once. The default `Fixed(1)` is
+/// per-message dispatch on the shared lane pool; `Fixed(0)` is rejected
+/// at build time.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BatchPolicy {
-    /// No batching: each message is dispatched the moment it arrives, on
-    /// the shared join-shortest-completion core pool. This is the legacy
-    /// (pre-pipeline) behaviour and the default.
-    #[default]
-    Unbatched,
-    /// Drain up to `B` staged messages per invocation. `Fixed(1)` is
-    /// equivalent to [`BatchPolicy::Unbatched`] by definition; `Fixed(0)`
-    /// is rejected at build time.
+    /// Drain up to this many staged messages per invocation.
     Fixed(usize),
-    /// Occupancy-adaptive batching: each drain takes
-    /// `staged.clamp(min, max)` messages — small batches (low latency)
-    /// when the core is keeping up, large batches (high throughput) when
-    /// a backlog builds. `1 <= min <= max` is required, `max >= 2`.
-    Adaptive {
-        /// Smallest batch a drain may take.
-        min: usize,
-        /// Largest batch a drain may take.
-        max: usize,
-    },
+}
+
+impl Default for BatchPolicy {
+    fn default() -> Self {
+        BatchPolicy::Fixed(1)
+    }
 }
 
 impl fmt::Display for BatchPolicy {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            BatchPolicy::Unbatched => f.write_str("unbatched"),
-            BatchPolicy::Fixed(b) => write!(f, "fixed({b})"),
-            BatchPolicy::Adaptive { min, max } => write!(f, "adaptive({min}..{max})"),
-        }
+        let BatchPolicy::Fixed(b) = self;
+        write!(f, "fixed({b})")
     }
 }
 
@@ -83,7 +71,7 @@ pub struct PipelineConfig {
     /// forwarders by queue index, so each partition drains on its own
     /// core with deterministic round-robin interleaving in the DES.
     pub snic_cores: usize,
-    /// Batch-draining policy of each core.
+    /// How many messages each core drains per invocation.
     pub batch: BatchPolicy,
 }
 
@@ -91,24 +79,17 @@ impl Default for PipelineConfig {
     fn default() -> Self {
         PipelineConfig {
             snic_cores: 1,
-            batch: BatchPolicy::Unbatched,
+            batch: BatchPolicy::default(),
         }
     }
 }
 
 impl PipelineConfig {
-    /// Whether the staged/sharded batch path is engaged.
-    ///
-    /// `false` for [`BatchPolicy::Unbatched`] and for
-    /// [`BatchPolicy::Fixed`]`(1)` — those configurations take the exact
-    /// legacy immediate-dispatch path (batch size 1 *is* unbatched), so
-    /// same-seed runs are byte-identical with the pre-pipeline server.
+    /// Whether the staged/sharded batch path is engaged: a batch can
+    /// hold two or more messages. `Fixed(1)` dispatches each message on
+    /// arrival on the shared lane pool, through the same code.
     pub fn is_batched(&self) -> bool {
-        match self.batch {
-            BatchPolicy::Unbatched => false,
-            BatchPolicy::Fixed(b) => b >= 2,
-            BatchPolicy::Adaptive { .. } => true,
-        }
+        self.batch_limit() >= 2
     }
 
     /// The SNIC core a client key shards to.
@@ -123,8 +104,8 @@ impl PipelineConfig {
     /// # Errors
     ///
     /// Returns [`Error::InvalidConfig`](crate::Error::InvalidConfig) when
-    /// `snic_cores` is 0 or exceeds `stack_lanes`, when the batch policy
-    /// is `Fixed(0)`, or when an adaptive range is empty or degenerate.
+    /// `snic_cores` is 0 or exceeds `stack_lanes`, or when the batch
+    /// policy is `Fixed(0)`.
     pub fn check(&self, stack_lanes: usize) -> crate::Result<()> {
         use crate::validate::{invalid, Validate};
         self.validate()?;
@@ -140,13 +121,10 @@ impl PipelineConfig {
         Ok(())
     }
 
-    /// How many messages a drain may take given `staged` waiting ones.
-    pub(crate) fn batch_limit(&self, staged: usize) -> usize {
-        match self.batch {
-            BatchPolicy::Unbatched => 1,
-            BatchPolicy::Fixed(b) => b.max(1),
-            BatchPolicy::Adaptive { min, max } => staged.clamp(min, max),
-        }
+    /// How many messages a drain may take.
+    pub(crate) fn batch_limit(&self) -> usize {
+        let BatchPolicy::Fixed(b) = self.batch;
+        b.max(1)
     }
 }
 
@@ -159,17 +137,13 @@ impl crate::Validate for PipelineConfig {
                 "pipeline needs at least one SNIC core",
             ));
         }
-        match self.batch {
-            BatchPolicy::Fixed(0) => Err(invalid(
+        if self.batch == BatchPolicy::Fixed(0) {
+            return Err(invalid(
                 "pipeline.batch",
-                "batch size 0 is meaningless; use BatchPolicy::Unbatched",
-            )),
-            BatchPolicy::Adaptive { min, max } if min == 0 || min > max || max < 2 => Err(invalid(
-                "pipeline.batch",
-                format!("adaptive batch range {min}..{max} must satisfy 1 <= min <= max, max >= 2"),
-            )),
-            _ => Ok(()),
+                "batch size 0 is meaningless; the smallest batch is Fixed(1)",
+            ));
         }
+        Ok(())
     }
 }
 
@@ -188,90 +162,49 @@ struct CoreState {
     drain_scheduled: bool,
 }
 
-struct Inner {
-    cfg: PipelineConfig,
-    cores: Vec<CoreState>,
-}
-
 /// Runtime state of the batched multi-core pipeline: the per-core staging
 /// queues and drain scheduling flags of the sharded dispatcher.
 ///
 /// Owned by the [`crate::LynxServer`]; the server stages each incoming
 /// request on its shard's queue and drains up to the policy's batch limit
 /// per cycle, charging the (amortized) drain cost pinned to that core's
-/// stack lane. Handles are cheap clones sharing one state.
-#[derive(Clone)]
-pub struct Pipeline {
-    inner: Rc<RefCell<Inner>>,
-}
-
-impl fmt::Debug for Pipeline {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let inner = self.inner.borrow();
-        f.debug_struct("Pipeline")
-            .field("snic_cores", &inner.cfg.snic_cores)
-            .field("batch", &inner.cfg.batch)
-            .field(
-                "staged",
-                &inner.cores.iter().map(|c| c.staged.len()).sum::<usize>(),
-            )
-            .finish()
-    }
+/// stack lane.
+pub(crate) struct Pipeline {
+    cfg: PipelineConfig,
+    cores: Vec<CoreState>,
 }
 
 impl Pipeline {
     /// Creates the pipeline runtime for a validated configuration.
-    pub fn new(cfg: PipelineConfig) -> Pipeline {
+    pub(crate) fn new(cfg: PipelineConfig) -> Pipeline {
         Pipeline {
-            inner: Rc::new(RefCell::new(Inner {
-                cores: (0..cfg.snic_cores.max(1))
-                    .map(|_| CoreState {
-                        staged: VecDeque::new(),
-                        drain_scheduled: false,
-                    })
-                    .collect(),
-                cfg,
-            })),
+            cores: (0..cfg.snic_cores.max(1))
+                .map(|_| CoreState {
+                    staged: VecDeque::new(),
+                    drain_scheduled: false,
+                })
+                .collect(),
+            cfg,
         }
     }
 
     /// The pipeline's configuration.
-    pub fn config(&self) -> PipelineConfig {
-        self.inner.borrow().cfg
-    }
-
-    /// Messages currently staged (all cores) — waiting for a drain cycle.
-    pub fn staged(&self) -> usize {
-        self.inner
-            .borrow()
-            .cores
-            .iter()
-            .map(|c| c.staged.len())
-            .sum()
+    pub(crate) fn config(&self) -> PipelineConfig {
+        self.cfg
     }
 
     /// Stages a request on `core`; returns `true` when the caller must
     /// schedule a drain cycle (none is pending for that core yet).
-    pub(crate) fn stage(&self, core: usize, req: StagedRequest) -> bool {
-        let mut inner = self.inner.borrow_mut();
-        let c = &mut inner.cores[core];
+    pub(crate) fn stage(&mut self, core: usize, req: StagedRequest) -> bool {
+        let c = &mut self.cores[core];
         c.staged.push_back(req);
-        if c.drain_scheduled {
-            false
-        } else {
-            c.drain_scheduled = true;
-            true
-        }
+        !std::mem::replace(&mut c.drain_scheduled, true)
     }
 
     /// Takes up to the policy's batch limit of staged requests off `core`.
-    pub(crate) fn take_batch(&self, core: usize) -> Vec<StagedRequest> {
-        let mut inner = self.inner.borrow_mut();
-        let limit = {
-            let staged = inner.cores[core].staged.len();
-            inner.cfg.batch_limit(staged)
-        };
-        let c = &mut inner.cores[core];
+    pub(crate) fn take_batch(&mut self, core: usize) -> Vec<StagedRequest> {
+        let limit = self.cfg.batch_limit();
+        let c = &mut self.cores[core];
         let n = c.staged.len().min(limit);
         c.staged.drain(..n).collect()
     }
@@ -279,15 +212,10 @@ impl Pipeline {
     /// Ends `core`'s drain cycle. Returns `true` when more work is staged
     /// (the caller must start another cycle — the flag stays set); `false`
     /// once the core goes idle and the flag is cleared.
-    pub(crate) fn end_drain(&self, core: usize) -> bool {
-        let mut inner = self.inner.borrow_mut();
-        let c = &mut inner.cores[core];
-        if c.staged.is_empty() {
-            c.drain_scheduled = false;
-            false
-        } else {
-            true
-        }
+    pub(crate) fn end_drain(&mut self, core: usize) -> bool {
+        let c = &mut self.cores[core];
+        c.drain_scheduled = !c.staged.is_empty();
+        c.drain_scheduled
     }
 }
 
@@ -295,16 +223,27 @@ impl Pipeline {
 mod tests {
     use super::*;
 
+    fn req(key: u64) -> StagedRequest {
+        StagedRequest {
+            service: ServiceId::DEFAULT,
+            ret: ReturnAddr::Fixed,
+            key,
+            payload: lynx_sim::Payload::new(),
+            func: None,
+        }
+    }
+
     #[test]
-    fn defaults_are_legacy() {
+    fn default_is_a_batch_of_one() {
         let cfg = PipelineConfig::default();
         assert_eq!(cfg.snic_cores, 1);
-        assert_eq!(cfg.batch, BatchPolicy::Unbatched);
+        assert_eq!(cfg.batch, BatchPolicy::Fixed(1));
+        assert_eq!(cfg.batch_limit(), 1);
         assert!(!cfg.is_batched());
     }
 
     #[test]
-    fn fixed_one_is_unbatched() {
+    fn only_batches_of_two_or_more_stage() {
         let cfg = PipelineConfig {
             snic_cores: 2,
             batch: BatchPolicy::Fixed(1),
@@ -323,27 +262,19 @@ mod tests {
         let bad = |cfg: PipelineConfig| cfg.check(7).is_err();
         assert!(bad(PipelineConfig {
             snic_cores: 0,
-            batch: BatchPolicy::Unbatched,
+            batch: BatchPolicy::Fixed(1),
         }));
         assert!(bad(PipelineConfig {
             snic_cores: 8,
-            batch: BatchPolicy::Unbatched,
+            batch: BatchPolicy::Fixed(1),
         }));
         assert!(bad(PipelineConfig {
             snic_cores: 1,
             batch: BatchPolicy::Fixed(0),
         }));
-        assert!(bad(PipelineConfig {
-            snic_cores: 1,
-            batch: BatchPolicy::Adaptive { min: 3, max: 2 },
-        }));
-        assert!(bad(PipelineConfig {
-            snic_cores: 1,
-            batch: BatchPolicy::Adaptive { min: 0, max: 4 },
-        }));
         assert!(PipelineConfig {
             snic_cores: 4,
-            batch: BatchPolicy::Adaptive { min: 1, max: 16 },
+            batch: BatchPolicy::Fixed(16),
         }
         .check(7)
         .is_ok());
@@ -361,61 +292,32 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_limit_follows_occupancy() {
-        let cfg = PipelineConfig {
-            snic_cores: 1,
-            batch: BatchPolicy::Adaptive { min: 2, max: 8 },
-        };
-        assert_eq!(cfg.batch_limit(0), 2);
-        assert_eq!(cfg.batch_limit(5), 5);
-        assert_eq!(cfg.batch_limit(50), 8);
-    }
-
-    #[test]
     fn staging_coalesces_drains() {
-        let p = Pipeline::new(PipelineConfig {
+        let mut p = Pipeline::new(PipelineConfig {
             snic_cores: 2,
             batch: BatchPolicy::Fixed(4),
         });
-        let req = |key| StagedRequest {
-            service: ServiceId::DEFAULT,
-            ret: ReturnAddr::Fixed,
-            key,
-            payload: lynx_sim::Payload::new(),
-            func: None,
-        };
         assert!(p.stage(0, req(0)), "first stage on a core schedules");
         assert!(!p.stage(0, req(2)), "second rides the pending drain");
         assert!(p.stage(1, req(1)), "other core schedules its own");
-        assert_eq!(p.staged(), 3);
         let batch = p.take_batch(0);
         assert_eq!(batch.len(), 2);
         assert_eq!(batch[0].key, 0);
         assert_eq!(batch[1].key, 2);
         assert!(!p.end_drain(0), "core 0 idle");
         assert!(p.stage(0, req(4)), "idle core schedules again");
-        // Core 1 still has one staged: end_drain keeps the cycle alive.
-        let _ = p.take_batch(1);
+        assert_eq!(p.take_batch(1).len(), 1);
         assert!(!p.end_drain(1));
     }
 
     #[test]
     fn take_batch_respects_fixed_limit() {
-        let p = Pipeline::new(PipelineConfig {
+        let mut p = Pipeline::new(PipelineConfig {
             snic_cores: 1,
             batch: BatchPolicy::Fixed(2),
         });
         for k in 0..5 {
-            let _ = p.stage(
-                0,
-                StagedRequest {
-                    service: ServiceId::DEFAULT,
-                    ret: ReturnAddr::Fixed,
-                    key: k,
-                    payload: lynx_sim::Payload::new(),
-                    func: None,
-                },
-            );
+            let _ = p.stage(0, req(k));
         }
         assert_eq!(p.take_batch(0).len(), 2);
         assert!(p.end_drain(0), "3 left: cycle continues");

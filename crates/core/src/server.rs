@@ -275,6 +275,30 @@ enum CacheOutcome {
     Miss(Option<CacheTicket>),
 }
 
+/// Where a unit of request-path SNIC work is charged.
+#[derive(Clone, Copy)]
+enum Lane {
+    /// The shared join-shortest-completion lane pool (batches of one).
+    Pool,
+    /// One pipeline core's own stack lane (batched mode).
+    Core(usize),
+}
+
+impl Lane {
+    fn charge(
+        self,
+        stack: &HostStack,
+        sim: &mut Sim,
+        cost: Duration,
+        done: impl FnOnce(&mut Sim) + 'static,
+    ) {
+        match self {
+            Lane::Pool => stack.charge(sim, cost, done),
+            Lane::Core(c) => stack.charge_on(sim, c, cost, done),
+        }
+    }
+}
+
 struct Service {
     dispatcher: Dispatcher,
     mqs: Vec<Mqueue>,
@@ -346,6 +370,17 @@ struct Inner {
 }
 
 impl Inner {
+    /// The lane that dispatch-stage work for client `key` is charged on:
+    /// its pipeline core when batching, else the shared pool.
+    fn dispatch_lane(&self, key: u64) -> Lane {
+        let cfg = self.pipeline.config();
+        if cfg.is_batched() {
+            Lane::Core(cfg.shard_of(key))
+        } else {
+            Lane::Pool
+        }
+    }
+
     /// Whether tenant function `func` skips the SNIC cache
     /// ([`TenantCacheMode::Bypass`]); other matched functions partition
     /// it under their own key namespace.
@@ -529,8 +564,9 @@ enum TenancyGate {
 /// [`crate::LynxServerBuilder::batch`]): requests shard across `N`
 /// simulated SNIC cores by client key and each core drains its partition
 /// in batches, amortizing stack invocations, RDMA doorbells and mqueue
-/// completions. With the default configuration (1 core, unbatched) the
-/// server takes the exact legacy immediate-dispatch path.
+/// completions. Every batch size runs the same request path: the default
+/// (1 core, `Fixed(1)`) dispatches each message on arrival as a batch of
+/// one on the shared lane pool.
 #[derive(Clone)]
 pub struct LynxServer {
     inner: Rc<RefCell<Inner>>,
@@ -648,16 +684,19 @@ impl LynxServer {
         };
         let this = self.clone();
         let mq2 = mq.clone();
-        // One forward cycle may be pending per mqueue; the gate coalesces
-        // doorbell rings into it (batched mode only).
-        let gate = Rc::new(Cell::new(false));
+        // Batched mode: one forward cycle may be pending per mqueue, and
+        // the gate coalesces doorbell rings into it.
+        let gate = self
+            .pipeline()
+            .is_batched()
+            .then(|| Rc::new(Cell::new(false)));
         mq.set_tx_watcher(move |sim| {
             this.on_response_ready(
                 sim,
                 service,
                 mq2.clone(),
                 Rc::clone(&rmq),
-                Rc::clone(&gate),
+                gate.clone(),
                 fwd_core,
             );
         });
@@ -1002,7 +1041,7 @@ impl LynxServer {
         key: u64,
         payload: &Payload,
     ) -> bool {
-        let (resp, stack, cost, lane, batched) = {
+        let (resp, stack, cost, lane) = {
             let mut inner = self.inner.borrow_mut();
             if !inner.cache_cfg.enabled || !inner.services[service.0].control.degrade.active {
                 return false;
@@ -1025,8 +1064,11 @@ impl LynxServer {
                 return false;
             }
             let ckey = cache_key(service, func, &k);
-            let lane = inner.pipeline.config().shard_of(key);
-            let resp = match inner.caches[lane].lookup(&ckey, true).map(<[u8]>::to_vec) {
+            let cache_lane = inner.pipeline.config().shard_of(key);
+            let resp = match inner.caches[cache_lane]
+                .lookup(&ckey, true)
+                .map(<[u8]>::to_vec)
+            {
                 Some(r) => {
                     inner.sites.cache_hits.add(&inner.stats, "cache.hits", 1);
                     r
@@ -1040,40 +1082,37 @@ impl LynxServer {
                 resp,
                 inner.stack.clone(),
                 Self::dispatch_cost(&inner),
-                lane,
-                inner.pipeline.config().is_batched(),
+                inner.dispatch_lane(key),
             )
         };
         let this = self.clone();
         let payload = Payload::from(resp);
-        if batched {
-            stack.charge_on(sim, lane, cost, move |sim| {
-                this.send_reply(sim, service, ret, payload);
-            });
-        } else {
-            stack.charge(sim, cost, move |sim| {
-                this.send_reply(sim, service, ret, payload);
-            });
-        }
+        lane.charge(&stack, sim, cost, move |sim| {
+            this.send_replies(sim, service, [(ret, payload)]);
+        });
         true
     }
 
     /// Mean mqueue occupancy over the service's unparked queues — the
-    /// "mqueues backing up" signal the compute offload engages on. A
-    /// fully parked fleet reads as saturated.
+    /// "mqueues backing up" signal the compute offload engages on and the
+    /// control scan scales and degrades on. A fully parked fleet reads as
+    /// saturated.
     fn occupancy(inner: &Inner, service: ServiceId) -> f64 {
         let svc = &inner.services[service.0];
-        let active: Vec<usize> = (0..svc.mqs.len())
+        let (sum, active) = (0..svc.mqs.len())
             .filter(|&qi| !svc.dispatcher.is_parked(qi))
-            .collect();
-        if active.is_empty() {
-            return if svc.mqs.is_empty() { 0.0 } else { 1.0 };
+            .fold((0.0, 0usize), |(sum, n), qi| {
+                let mq = &svc.mqs[qi];
+                (
+                    sum + mq.in_flight() as f64 / mq.config().slots as f64,
+                    n + 1,
+                )
+            });
+        match active {
+            0 if svc.mqs.is_empty() => 0.0,
+            0 => 1.0,
+            n => sum / n as f64,
         }
-        active
-            .iter()
-            .map(|&qi| svc.mqs[qi].in_flight() as f64 / svc.mqs[qi].config().slots as f64)
-            .sum::<f64>()
-            / active.len() as f64
     }
 
     /// Offers one request to the SNIC compute kernel when the service's
@@ -1133,7 +1172,7 @@ impl LynxServer {
             // Early reject: no dispatch cost charged, no RDMA verb issued.
             // The empty (0-byte) reply is the shed marker — closed-loop
             // clients observe it instead of timing out on silence.
-            self.send_reply(sim, service, ret, Payload::from(Vec::new()));
+            self.send_replies(sim, service, [(ret, Payload::new())]);
             return;
         }
         // λ-NIC match-action stage: match the payload to a registered
@@ -1144,7 +1183,7 @@ impl LynxServer {
             TenancyGate::Shed => {
                 // Unmatched or over the tenant's quota: the empty reply is
                 // the same shed marker admission control uses.
-                self.send_reply(sim, service, ret, Payload::from(Vec::new()));
+                self.send_replies(sim, service, [(ret, Payload::new())]);
                 return;
             }
             TenancyGate::Warm(delay, func) => {
@@ -1161,11 +1200,12 @@ impl LynxServer {
         self.dispatch_admitted(sim, service, ret, key, payload, func);
     }
 
-    /// The post-admission half of the request path: stage into the
-    /// batched pipeline or charge the legacy immediate dispatch. Split
-    /// from [`Self::on_request`] so a cold start can delay exactly this
-    /// part. `func` is the tenant function the gate admitted the request
-    /// as; it travels with the request instead of being matched again.
+    /// The post-admission half of the request path: dispatch a batch of
+    /// one on the shared lane pool, or stage into the batched pipeline.
+    /// Split from [`Self::on_request`] so a cold start can delay exactly
+    /// this part. `func` is the tenant function the gate admitted the
+    /// request as; it travels with the request instead of being matched
+    /// again.
     fn dispatch_admitted(
         &self,
         sim: &mut Sim,
@@ -1175,41 +1215,30 @@ impl LynxServer {
         payload: Payload,
         func: Option<FnId>,
     ) {
-        let (batched, stack, cost) = {
-            let inner = self.inner.borrow();
-            (
-                inner.pipeline.config().is_batched(),
-                inner.stack.clone(),
-                Self::dispatch_cost(&inner),
-            )
-        };
         self.arm_monitor(sim);
-        if !batched {
-            // Legacy immediate dispatch on the shared core pool — the
-            // exact pre-pipeline event sequence.
+        let req = StagedRequest {
+            service,
+            ret,
+            key,
+            payload,
+            func,
+        };
+        let mut inner = self.inner.borrow_mut();
+        let cfg = inner.pipeline.config();
+        if !cfg.is_batched() {
+            let (stack, cost) = (inner.stack.clone(), Self::dispatch_cost(&inner));
+            drop(inner);
             let this = self.clone();
             stack.charge(sim, cost, move |sim| {
-                this.dispatch_now(sim, service, ret, key, payload, func);
+                this.dispatch_batch(sim, Lane::Pool, [req]);
             });
             return;
         }
         // Batched pipeline: shard to a core, stage, and kick that core's
         // drain cycle if none is pending.
-        let (core, start) = {
-            let inner = self.inner.borrow();
-            let core = inner.pipeline.config().shard_of(key);
-            let start = inner.pipeline.stage(
-                core,
-                StagedRequest {
-                    service,
-                    ret,
-                    key,
-                    payload,
-                    func,
-                },
-            );
-            (core, start)
-        };
+        let core = cfg.shard_of(key);
+        let start = inner.pipeline.stage(core, req);
+        drop(inner);
         if start {
             self.drain_cycle(sim, core);
         }
@@ -1237,7 +1266,7 @@ impl LynxServer {
     /// message, marginal for the rest), then dispatch the whole batch.
     fn drain_batch(&self, sim: &mut Sim, core: usize) {
         let (stack, cost, batch) = {
-            let inner = self.inner.borrow();
+            let mut inner = self.inner.borrow_mut();
             let batch = inner.pipeline.take_batch(core);
             if batch.is_empty() {
                 let _ = inner.pipeline.end_drain(core);
@@ -1259,50 +1288,55 @@ impl LynxServer {
         };
         let this = self.clone();
         stack.charge_on(sim, core, cost, move |sim| {
-            this.dispatch_batch(sim, core, batch);
-            let more = this.inner.borrow().pipeline.end_drain(core);
+            this.dispatch_batch(sim, Lane::Core(core), batch);
+            let more = this.inner.borrow_mut().pipeline.end_drain(core);
             if more {
                 this.drain_cycle(sim, core);
             }
         });
     }
 
-    /// Dispatches a drained batch: per-message mqueue selection (same
-    /// counters and traces as the unbatched path), then one coalesced
-    /// [`RemoteMqManager::push_requests`] per target mqueue — a batch of
-    /// `k` requests to one queue costs one doorbell, not `k`.
-    fn dispatch_batch(&self, sim: &mut Sim, core: usize, batch: Vec<StagedRequest>) {
+    /// Dispatches a batch — one message in per-message mode, a drained
+    /// batch in batched mode. Each request is consulted against its lane's
+    /// cache, offered to the SNIC compute kernel, or given an mqueue; then
+    /// one coalesced [`RemoteMqManager::push_requests`] goes to each target
+    /// mqueue — a batch of `k` requests to one queue costs one doorbell,
+    /// not `k`. Offloaded kernels charge their summed work on `lane`.
+    fn dispatch_batch(
+        &self,
+        sim: &mut Sim,
+        lane: Lane,
+        batch: impl IntoIterator<Item = StagedRequest>,
+    ) {
+        /// The requests bound for one mqueue, each with what it holds
+        /// until its context is attached: its cache ticket and tenant
+        /// function.
         struct Group {
             rmq: Rc<RemoteMqManager>,
             mq: Mqueue,
-            items: Vec<(ReturnAddr, Payload)>,
-            // What each item holds until its context is attached: its
-            // cache ticket and tenant function.
-            held: Vec<(Option<CacheTicket>, Option<FnId>)>,
+            items: Vec<(ReturnAddr, Payload, Option<CacheTicket>, Option<FnId>)>,
         }
         let mut groups: Vec<Group> = Vec::new();
-        let mut traces: Vec<(&'static str, Option<Mqueue>)> = Vec::new();
-        // SNIC-local answers produced at the dispatch stage: cache hits
-        // go back on the batched UDP reply path; offloaded kernels first
-        // charge their accumulated work on this core's lane.
+        // SNIC-local answers produced at the dispatch stage.
         let mut hits: Vec<(ServiceId, ReturnAddr, Payload)> = Vec::new();
         let mut offloads: Vec<(ServiceId, ReturnAddr, Payload)> = Vec::new();
         let mut offload_work = Duration::ZERO;
-        {
+        let stack = {
             let mut inner = self.inner.borrow_mut();
             for req in batch {
-                // The staged batch all sharded here by key, so this
-                // core's private cache is the request's cache lane.
+                // Dispatch shards by key, so the key's shard owns the
+                // request's cache lane.
+                let cache_lane = inner.pipeline.config().shard_of(req.key);
                 let ticket = match Self::consult_cache(
                     &mut inner,
                     req.service,
-                    core,
+                    cache_lane,
                     &req.payload,
                     req.func,
                 ) {
                     CacheOutcome::Hit(resp) => {
-                        // Answered at the SNIC: release the tenant's
-                        // in-flight slot here, nothing will complete it.
+                        // Answered at the SNIC: no mqueue slot, no RDMA
+                        // verb, no completion to release the tenant's slot.
                         inner.release(None, req.func);
                         hits.push((req.service, req.ret, resp));
                         continue;
@@ -1326,70 +1360,57 @@ impl LynxServer {
                     .pick(&svc.mqs, req.key)
                     .map(|qi| (Rc::clone(&svc.owners[qi]), svc.mqs[qi].clone()));
                 Self::count_dispatch(&inner, i, policy, picked.is_some());
+                sim.trace(|| TraceEvent::Dispatch {
+                    policy,
+                    queue: picked.as_ref().map(|(_, mq)| mq.label()),
+                });
+                let item = (req.ret, req.payload, ticket, req.func);
                 match picked {
-                    Some((rmq, mq)) => {
-                        traces.push((policy, Some(mq.clone())));
-                        // By identity, not label: labels come from region
-                        // names, which need not be unique.
-                        match groups.iter_mut().find(|g| g.mq.same(&mq)) {
-                            Some(g) => {
-                                g.items.push((req.ret, req.payload));
-                                g.held.push((ticket, req.func));
-                            }
-                            None => groups.push(Group {
-                                rmq,
-                                mq,
-                                items: vec![(req.ret, req.payload)],
-                                held: vec![(ticket, req.func)],
-                            }),
-                        }
-                    }
-                    None => {
-                        // Dropped (all queues full): no response will ever
-                        // fill the leased slot or complete the tenant's
-                        // dispatch.
-                        inner.release(ticket, req.func);
-                        traces.push((policy, None));
-                    }
+                    // Grouped by identity, not label: labels come from
+                    // region names, which need not be unique.
+                    Some((rmq, mq)) => match groups.iter_mut().find(|g| g.mq.same(&mq)) {
+                        Some(g) => g.items.push(item),
+                        None => groups.push(Group {
+                            rmq,
+                            mq,
+                            items: vec![item],
+                        }),
+                    },
+                    // Dropped (all queues full): no response will ever
+                    // fill the leased slot or complete the tenant's
+                    // dispatch.
+                    None => inner.release(item.2, item.3),
                 }
             }
-        }
-        for (policy, mq) in traces {
-            sim.trace(|| TraceEvent::Dispatch {
-                policy,
-                queue: mq.map(|mq| mq.label()),
-            });
-        }
-        if !hits.is_empty() {
-            // One batched stack invocation per service, like the
-            // forwarder's reply path.
-            let mut by_svc: Vec<(ServiceId, Vec<(ReturnAddr, Payload)>)> = Vec::new();
-            for (svc, ret, resp) in hits {
-                match by_svc.iter_mut().find(|(s, _)| *s == svc) {
-                    Some((_, v)) => v.push((ret, resp)),
-                    None => by_svc.push((svc, vec![(ret, resp)])),
-                }
-            }
-            for (svc, replies) in by_svc {
-                self.send_replies(sim, svc, replies);
+            inner.stack.clone()
+        };
+        // One reply batch per service for the hits; one reply per kernel
+        // answer once the kernels' work is charged.
+        for (i, &(svc, ..)) in hits.iter().enumerate() {
+            if hits[..i].iter().all(|&(s, ..)| s != svc) {
+                let mine = hits[i..].iter().filter(|&&(s, ..)| s == svc);
+                self.send_replies(sim, svc, mine.map(|(_, ret, p)| (*ret, p.clone())));
             }
         }
         if !offloads.is_empty() {
-            let stack = self.inner.borrow().stack.clone();
             let this = self.clone();
-            stack.charge_on(sim, core, offload_work, move |sim| {
+            lane.charge(&stack, sim, offload_work, move |sim| {
                 for (svc, ret, resp) in offloads {
-                    this.send_reply(sim, svc, ret, resp);
+                    this.send_replies(sim, svc, [(ret, resp)]);
                 }
             });
         }
-        for g in groups {
+        for mut g in groups {
             // Per-item backpressure/transport outcomes were already
             // counted (drops on the mqueue sink, giveups by the retry
             // machinery); a failed item never aborts the batch.
-            let results = g.rmq.push_requests(sim, &g.mq, g.items);
+            let sends = g
+                .items
+                .iter_mut()
+                .map(|(ret, p, ..)| (*ret, std::mem::take(p)));
+            let results = g.rmq.push_requests(sim, &g.mq, sends);
             let now = sim.now();
-            for (result, (ticket, func)) in results.into_iter().zip(g.held) {
+            for (result, (_, _, ticket, func)) in results.into_iter().zip(g.items) {
                 match result {
                     Ok(seq) => g.mq.attach(seq, now, ticket, func),
                     // Rejected by backpressure: the request never got a
@@ -1426,83 +1447,6 @@ impl LynxServer {
         }
     }
 
-    fn dispatch_now(
-        &self,
-        sim: &mut Sim,
-        service: ServiceId,
-        ret: ReturnAddr,
-        key: u64,
-        payload: Payload,
-        func: Option<FnId>,
-    ) {
-        let ticket = {
-            let mut inner = self.inner.borrow_mut();
-            let lane = inner.pipeline.config().shard_of(key);
-            let ticket = match Self::consult_cache(&mut inner, service, lane, &payload, func) {
-                CacheOutcome::Hit(resp) => {
-                    // A hit replies straight from the SNIC: no mqueue
-                    // slot, no RDMA verb, no forward cycle, and no
-                    // completion to release the tenant's slot.
-                    inner.release(None, func);
-                    drop(inner);
-                    self.send_reply(sim, service, ret, resp);
-                    return;
-                }
-                CacheOutcome::Miss(ticket) => ticket,
-            };
-            if let Some((resp, work)) = Self::try_offload(&mut inner, service, &payload) {
-                // The kernel answers instead of the accelerator, on the
-                // shared core pool (the unbatched path charges there
-                // too), then replies directly: no response will fill.
-                inner.release(ticket, func);
-                let stack = inner.stack.clone();
-                drop(inner);
-                let this = self.clone();
-                stack.charge(sim, work, move |sim| {
-                    this.send_reply(sim, service, ret, resp);
-                });
-                return;
-            }
-            ticket
-        };
-        let (policy, picked) = {
-            let mut inner = self.inner.borrow_mut();
-            let svc = &mut inner.services[service.0];
-            let policy = svc.dispatcher.policy().name();
-            let picked = svc
-                .dispatcher
-                .pick(&svc.mqs, key)
-                .map(|i| (Rc::clone(&svc.owners[i]), svc.mqs[i].clone()));
-            Self::count_dispatch(&inner, service.0, policy, picked.is_some());
-            (policy, picked)
-        };
-        match picked {
-            Some((rmq, mq)) => {
-                sim.trace(|| TraceEvent::Dispatch {
-                    policy,
-                    queue: Some(mq.label()),
-                });
-                // The dispatcher checked for room, so backpressure here is
-                // impossible; a transport give-up (faults) is counted by
-                // the retry machinery and surfaces as a lost UDP request.
-                let pushed = rmq.push_requests(sim, &mq, [(ret, payload)]);
-                match pushed.into_iter().next().expect("one result per item") {
-                    Ok(seq) => mq.attach(seq, sim.now(), ticket, func),
-                    Err(_) => self.inner.borrow_mut().release(ticket, func),
-                }
-            }
-            None => {
-                sim.trace(|| TraceEvent::Dispatch {
-                    policy,
-                    queue: None,
-                });
-                // Dropped (all queues full): no response will ever fill
-                // the leased slot or complete the tenant's dispatch.
-                self.inner.borrow_mut().release(ticket, func);
-            }
-        }
-    }
-
     /// Average delay before the forwarder's round-robin poll cycle reaches
     /// a freshly-rung TX doorbell (half a full scan over every tenant's
     /// queues).
@@ -1510,210 +1454,135 @@ impl LynxServer {
         inner.costs.poll_rtt_per_mqueue * Self::total_mqueues(inner) / 2
     }
 
+    /// A response doorbell rang on `mq`: schedule a forward cycle after
+    /// the poll's detection delay. A gated (batched) queue runs at most one
+    /// pending cycle, which collects every response that lands meanwhile.
     fn on_response_ready(
         &self,
         sim: &mut Sim,
         service: ServiceId,
         mq: Mqueue,
         rmq: Rc<RemoteMqManager>,
-        gate: Rc<Cell<bool>>,
+        gate: Option<Rc<Cell<bool>>>,
         core: usize,
     ) {
-        let (batched, stack, cost, detect) = {
+        // Checked before the poll counter: a coalesced doorbell is not a
+        // poll.
+        if gate.as_ref().is_some_and(|g| g.replace(true)) {
+            return;
+        }
+        let detect = {
             let inner = self.inner.borrow();
-            if inner.pipeline.config().is_batched() && gate.get() {
-                // A forward cycle for this mqueue is already pending; it
-                // will collect this response too. (Checked before the
-                // poll counter: a coalesced doorbell is not a poll.)
-                return;
-            }
             inner
                 .sites
                 .forward_polls
                 .add(&inner.stats, "server.forward_polls", 1);
-            (
-                inner.pipeline.config().is_batched(),
-                inner.stack.clone(),
-                Self::forward_cost(&inner),
-                Self::detection_delay(&inner),
-            )
+            Self::detection_delay(&inner)
         };
-        if !batched {
-            // Legacy per-response forwarding — the exact pre-pipeline
-            // event sequence.
-            let this = self.clone();
-            sim.schedule_in(detect, move |sim| {
-                stack.charge(sim, cost, move |sim| {
-                    let this2 = this.clone();
-                    let mq2 = mq.clone();
-                    rmq.pull_responses(sim, &mq, 1, move |sim, collected| {
-                        for (ctx, payload) in collected {
-                            let reply = {
-                                let mut inner = this2.inner.borrow_mut();
-                                let reply = inner.settle(sim.now(), service, &mq2, ctx, payload);
-                                inner.publish_cache_bytes();
-                                reply
-                            };
-                            if let Some((ret, payload)) = reply {
-                                this2.send_reply(sim, service, ret, payload);
-                            }
-                        }
-                    });
-                });
-            });
-            return;
-        }
-        gate.set(true);
         let this = self.clone();
         sim.schedule_in(detect, move |sim| {
-            this.forward_batch(sim, service, mq, rmq, gate, core);
+            this.forward(sim, service, mq, rmq, gate, core);
         });
     }
 
-    /// One batched forward cycle for `mq`, pinned to its owner core:
-    /// charge the amortized forward cost for everything pending (up to the
-    /// batch limit), collect it as one chained RDMA read, reply in one
-    /// batched stack invocation, then re-arm if responses kept arriving.
-    fn forward_batch(
+    /// One forward cycle for `mq`. Ungated (per-message mode) it collects
+    /// one response on the shared lane pool. Gated (batched mode) it
+    /// collects everything pending, up to the batch limit, as one chained
+    /// RDMA read on the queue's owner core, charged the amortized forward
+    /// cost, then re-arms if responses kept arriving. Each response is
+    /// settled as its reply goes out.
+    fn forward(
         &self,
         sim: &mut Sim,
         service: ServiceId,
         mq: Mqueue,
         rmq: Rc<RemoteMqManager>,
-        gate: Rc<Cell<bool>>,
+        gate: Option<Rc<Cell<bool>>>,
         core: usize,
     ) {
-        let pending = mq.pending_responses() as usize;
-        if pending == 0 {
-            gate.set(false);
-            return;
-        }
-        let (stack, cost, k) = {
+        let (lane, k, stack, cost) = {
             let inner = self.inner.borrow();
-            let k = inner.pipeline.config().batch_limit(pending).min(pending);
-            inner
-                .sites
-                .forward_batches
-                .add(&inner.stats, "pipeline.forward_batches", 1);
-            inner.sites.forward_batched_msgs.add(
-                &inner.stats,
-                "pipeline.forward_batched_msgs",
-                k as u64,
-            );
+            let (lane, k) = match &gate {
+                None => (Lane::Pool, 1),
+                Some(g) => {
+                    let pending = mq.pending_responses() as usize;
+                    if pending == 0 {
+                        g.set(false);
+                        return;
+                    }
+                    let k = pending.min(inner.pipeline.config().batch_limit());
+                    inner
+                        .sites
+                        .forward_batches
+                        .add(&inner.stats, "pipeline.forward_batches", 1);
+                    inner.sites.forward_batched_msgs.add(
+                        &inner.stats,
+                        "pipeline.forward_batched_msgs",
+                        k as u64,
+                    );
+                    (Lane::Core(core), k)
+                }
+            };
             let cost = Self::forward_cost(&inner) + inner.costs.forward_marginal * (k as u32 - 1);
-            (inner.stack.clone(), cost, k)
+            (lane, k, inner.stack.clone(), cost)
         };
         let this = self.clone();
-        stack.charge_on(sim, core, cost, move |sim| {
-            let this2 = this.clone();
-            let mq2 = mq.clone();
-            let rmq2 = Rc::clone(&rmq);
+        lane.charge(&stack, sim, cost, move |sim| {
+            let (mq2, rmq2) = (mq.clone(), Rc::clone(&rmq));
             rmq.pull_responses(sim, &mq, k, move |sim, collected| {
-                let replies = {
-                    let mut inner = this2.inner.borrow_mut();
-                    let now = sim.now();
-                    let replies = collected
-                        .into_iter()
-                        .filter_map(|(ctx, payload)| inner.settle(now, service, &mq2, ctx, payload))
-                        .collect();
-                    inner.publish_cache_bytes();
-                    replies
-                };
-                this2.send_replies(sim, service, replies);
-                gate.set(false);
-                if mq2.pending_responses() > 0 {
-                    // More responses landed while this cycle ran: start
-                    // the next one (fresh detection delay).
-                    this2.on_response_ready(sim, service, mq2.clone(), rmq2, gate, core);
+                let now = sim.now();
+                let replies = collected.into_iter().filter_map(|(ctx, payload)| {
+                    this.inner
+                        .borrow_mut()
+                        .settle(now, service, &mq2, ctx, payload)
+                });
+                this.send_replies(sim, service, replies);
+                this.inner.borrow().publish_cache_bytes();
+                if let Some(gate) = gate {
+                    gate.set(false);
+                    if mq2.pending_responses() > 0 {
+                        // More responses landed while this cycle ran:
+                        // start the next one (fresh detection delay).
+                        this.on_response_ready(sim, service, mq2, rmq2, Some(gate), core);
+                    }
                 }
             });
         });
     }
 
-    fn send_reply(&self, sim: &mut Sim, service: ServiceId, ret: ReturnAddr, payload: Payload) {
-        if let Err(e) = self.try_send_reply(sim, service, ret, payload) {
-            // Shed, counted; a UDP client sees a lost reply.
-            debug_assert!(matches!(e, Error::Unroutable { .. }));
-        }
-    }
-
-    /// Routes one response back to its client, reporting — instead of
-    /// panicking on — responses that cannot be routed (a slot with no
-    /// return address, or a UDP reply from a service that never bound a
-    /// UDP port). Unroutable replies count as `server.unroutable`.
-    fn try_send_reply(
-        &self,
-        sim: &mut Sim,
-        service: ServiceId,
-        ret: ReturnAddr,
-        payload: Payload,
-    ) -> crate::Result<()> {
-        let (stack, port) = {
-            let inner = self.inner.borrow();
-            (inner.stack.clone(), inner.services[service.0].udp_port)
-        };
-        let route = match ret {
-            ReturnAddr::Udp(addr) => match port {
-                Some(p) => Ok((p, addr)),
-                None => Err(()),
-            },
-            ReturnAddr::Tcp(conn) => {
-                self.count_reply(service);
-                stack.send_tcp(sim, conn, payload);
-                return Ok(());
-            }
-            ReturnAddr::Fixed => Err(()),
-        };
-        match route {
-            Ok((p, addr)) => {
-                self.count_reply(service);
-                stack.send_udp(sim, p, addr, payload);
-                Ok(())
-            }
-            Err(()) => {
-                self.count_unroutable();
-                Err(Error::Unroutable { service: service.0 })
-            }
-        }
-    }
-
-    /// Sends a collected batch of replies in as few stack invocations as
+    /// Routes replies back to their clients in as few stack invocations as
     /// possible: all UDP replies go out as one
-    /// [`HostStack::send_udp_batch`] (in collection order), TCP replies —
-    /// which need per-connection framing — individually. Unroutable
-    /// responses are shed and counted without disturbing the rest of the
-    /// batch.
+    /// [`HostStack::send_udp_batch`] (in order), TCP replies — which need
+    /// per-connection framing — individually. A reply that cannot be
+    /// routed (no return address, or a UDP reply from a service that
+    /// never bound a UDP port) is shed and counted as `server.unroutable`
+    /// without disturbing the rest.
     fn send_replies(
         &self,
         sim: &mut Sim,
         service: ServiceId,
-        responses: Vec<(ReturnAddr, Payload)>,
+        replies: impl IntoIterator<Item = (ReturnAddr, Payload)>,
     ) {
         let (stack, port) = {
             let inner = self.inner.borrow();
             (inner.stack.clone(), inner.services[service.0].udp_port)
         };
         let mut udp: Vec<(SockAddr, Payload)> = Vec::new();
-        for (ret, payload) in responses {
-            match ret {
-                ReturnAddr::Udp(addr) => match port {
-                    Some(_) => {
-                        self.count_reply(service);
-                        udp.push((addr, payload));
-                    }
-                    None => self.count_unroutable(),
-                },
-                ReturnAddr::Tcp(conn) => {
+        for (ret, payload) in replies {
+            match (ret, port) {
+                (ReturnAddr::Udp(addr), Some(_)) => {
+                    self.count_reply(service);
+                    udp.push((addr, payload));
+                }
+                (ReturnAddr::Tcp(conn), _) => {
                     self.count_reply(service);
                     stack.send_tcp(sim, conn, payload);
                 }
-                ReturnAddr::Fixed => {
-                    self.count_unroutable();
-                }
+                _ => self.count_unroutable(),
             }
         }
-        if !udp.is_empty() {
-            stack.send_udp_batch(sim, port.expect("checked above"), udp);
+        if let Some(port) = port {
+            stack.send_udp_batch(sim, port, udp);
         }
     }
 
@@ -1974,6 +1843,12 @@ impl LynxServer {
             stats.count("control.scans", 1);
             let mut live = false;
             for si in 0..inner.services.len() {
+                // Mean occupancy over the active queues. `occupancy` reads
+                // a non-empty, fully parked fleet as saturated; that state
+                // never reaches this scan: validation forces
+                // `min_workers >= 1` whenever the control plane is on, and
+                // scale-in never parks below it.
+                let occupancy = Self::occupancy(&inner, ServiceId(si));
                 let svc = &mut inner.services[si];
                 // 1. A queue parked by scale-in whose backlog has flushed
                 //    is drained: its staged slot buffers return to the
@@ -1992,21 +1867,10 @@ impl LynxServer {
                 // 2. Close the observation window.
                 let window = svc.control.latency.roll();
                 let p99 = (!window.is_empty()).then(|| window.percentile(99.0));
-                // 3. Mean occupancy over the active queues.
+                // 3. The queues scaling acts on.
                 let active: Vec<usize> = (0..svc.mqs.len())
                     .filter(|&qi| !svc.dispatcher.is_parked(qi))
                     .collect();
-                let occupancy = if active.is_empty() {
-                    0.0
-                } else {
-                    active
-                        .iter()
-                        .map(|&qi| {
-                            svc.mqs[qi].in_flight() as f64 / svc.mqs[qi].config().slots as f64
-                        })
-                        .sum::<f64>()
-                        / active.len() as f64
-                };
                 if svc.mqs.iter().any(|m| m.in_flight() > 0) {
                     live = true;
                 }

@@ -244,8 +244,8 @@ pub struct DeployConfig {
     /// consulted when a fault plan is armed).
     pub rmq: RmqConfig,
     /// SNIC core sharding and batching of the dispatch/forward pipeline.
-    /// Defaults to one core, unbatched — the exact per-message event
-    /// sequence of earlier releases.
+    /// Defaults to one core and `Fixed(1)`: per-message dispatch on the
+    /// shared lane pool.
     pub pipeline: PipelineConfig,
     /// SLO-driven elastic control plane (scale-out/in of remote-GPU
     /// workers + admission control). Defaults to

@@ -292,20 +292,6 @@ pub struct TraceRecord {
     pub event: TraceEvent,
 }
 
-/// Error returned by [`CounterRegistry::register`] for an already-taken name.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct DuplicateCounterError {
-    name: String,
-}
-
-impl fmt::Display for DuplicateCounterError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "counter '{}' is already registered", self.name)
-    }
-}
-
-impl std::error::Error for DuplicateCounterError {}
-
 /// An interned handle to one counter in a [`CounterRegistry`].
 ///
 /// Obtained once via [`CounterRegistry::intern`] (or
@@ -346,20 +332,6 @@ impl CounterRegistry {
     /// Creates an empty registry.
     pub fn new() -> CounterRegistry {
         CounterRegistry::default()
-    }
-
-    /// Pre-registers a counter at zero, erroring if the name is taken.
-    ///
-    /// Registration is optional — [`CounterRegistry::add`] auto-registers —
-    /// but lets a component reserve its names up front so they appear in
-    /// snapshots even when never incremented.
-    pub fn register(&mut self, name: impl Into<String>) -> Result<(), DuplicateCounterError> {
-        let name = name.into();
-        if self.counter_ids.contains_key(&name) {
-            return Err(DuplicateCounterError { name });
-        }
-        self.intern(&name);
-        Ok(())
     }
 
     /// Interns `name`, creating the counter at zero if new, and returns
@@ -513,27 +485,6 @@ impl CounterRegistry {
                 let mine = self.intern_gauge(name);
                 self.set_gauge_by_id(mine, v);
             }
-        }
-    }
-
-    /// Folds a sorted `(name, value)` counter snapshot (as produced by
-    /// [`CounterRegistry::snapshot`], possibly from another thread) into
-    /// this registry with the same sorted-intern guarantee as
-    /// [`CounterRegistry::merge_from`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the snapshot is not sorted by name — an unsorted merge
-    /// would silently reintroduce the thread-count-dependent id bug this
-    /// API exists to prevent.
-    pub fn merge_counters(&mut self, snapshot: &[(String, u64)]) {
-        assert!(
-            snapshot.windows(2).all(|w| w[0].0 <= w[1].0),
-            "merge_counters requires a name-sorted snapshot"
-        );
-        for (name, value) in snapshot {
-            let id = self.intern(name);
-            self.add_by_id(id, *value);
         }
     }
 
@@ -698,11 +649,6 @@ impl Telemetry {
     /// Sets gauge `name` to `value`.
     pub fn gauge(&self, name: &str, value: f64) {
         self.inner.borrow_mut().registry.set_gauge(name, value);
-    }
-
-    /// Pre-registers counter `name`; errors if already registered.
-    pub fn register_counter(&self, name: impl Into<String>) -> Result<(), DuplicateCounterError> {
-        self.inner.borrow_mut().registry.register(name)
     }
 
     /// Interns counter `name` (creating it at zero if new) and returns a
@@ -880,17 +826,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn register_rejects_duplicates() {
-        let mut reg = CounterRegistry::new();
-        reg.register("a.b").unwrap();
-        let err = reg.register("a.b").unwrap_err();
-        assert_eq!(err.to_string(), "counter 'a.b' is already registered");
-        // Registration survives: value still readable and addable.
-        reg.add("a.b", 3);
-        assert_eq!(reg.get("a.b"), 3);
-    }
-
-    #[test]
     fn gauge_value_reads_back_and_misses_cleanly() {
         let t = Telemetry::new();
         assert_eq!(t.gauge_value("mq.depth"), None);
@@ -971,27 +906,6 @@ mod tests {
         assert_eq!(one.id_of("missing"), None);
         assert!(one.gauge_id_of("mq.depth").is_some());
         assert_eq!(one.gauge_id_of("missing"), None);
-    }
-
-    #[test]
-    fn merge_counters_folds_sorted_snapshots() {
-        let mut shard = CounterRegistry::new();
-        shard.add("b", 4);
-        shard.add("a", 1);
-        let mut merged = CounterRegistry::new();
-        merged.add("b", 1);
-        merged.merge_counters(&shard.snapshot());
-        assert_eq!(
-            merged.snapshot(),
-            vec![("a".to_string(), 1), ("b".to_string(), 5)]
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "name-sorted")]
-    fn merge_counters_rejects_unsorted_input() {
-        let mut merged = CounterRegistry::new();
-        merged.merge_counters(&[("b".to_string(), 1), ("a".to_string(), 2)]);
     }
 
     #[test]

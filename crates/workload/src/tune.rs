@@ -145,7 +145,7 @@ impl TuneSpace {
             mqueues_per_gpu: vec![1, 2, 4, 8, 15, 30, 60, 120, 240],
             snic_cores: vec![1, 2, 3, 4, 5, 6],
             batch: vec![
-                BatchPolicy::Unbatched,
+                BatchPolicy::Fixed(1),
                 BatchPolicy::Fixed(4),
                 BatchPolicy::Fixed(8),
                 BatchPolicy::Fixed(16),
@@ -173,7 +173,7 @@ impl TuneSpace {
             gpus: vec![1, 4],
             mqueues_per_gpu: vec![4, 15, 60],
             snic_cores: vec![2, 4],
-            batch: vec![BatchPolicy::Unbatched, BatchPolicy::Fixed(16)],
+            batch: vec![BatchPolicy::Fixed(1), BatchPolicy::Fixed(16)],
             slots: vec![32, 64],
             ..TuneSpace::bluefield()
         }
@@ -260,15 +260,10 @@ pub struct Candidate {
     pub cache: bool,
 }
 
-/// Effective drain size of a batching policy at saturation. Adaptive
-/// policies ramp to their max under load, so that is the steady-state
-/// amortization the model charges.
+/// Drain size of a batching policy at saturation: drains run full.
 fn effective_batch(policy: BatchPolicy) -> u32 {
-    match policy {
-        BatchPolicy::Unbatched => 1,
-        BatchPolicy::Fixed(n) => n.max(1) as u32,
-        BatchPolicy::Adaptive { max, .. } => max.max(1) as u32,
-    }
+    let BatchPolicy::Fixed(n) = policy;
+    n.max(1) as u32
 }
 
 /// Mean waiting time in an M/D/1 queue with utilization `rho` and
@@ -287,13 +282,13 @@ fn md1_wait(rho: f64, service: Duration) -> Duration {
 /// The capacity model mirrors the simulator's charging exactly:
 ///
 /// * **SNIC CPU** — per message, the stack charges `udp_rx`; the
-///   dispatcher charges `dispatch + mq_scan × Q` (unbatched) or an
+///   dispatcher charges `dispatch + mq_scan × Q` (`Fixed(1)`) or an
 ///   amortized `(mq_scan_cycle(Q) + dispatch_batch(k)) / k` (batched,
 ///   drains run full at saturation); the stack charges `udp_tx`
 ///   (batched sends amortize via `udp_tx_batched`). The forwarder runs
 ///   one cycle per *mqueue*, so its achievable batch is set by the
 ///   per-queue arrival rate, not the policy limit — the model solves
-///   that self-consistently by fixed-point iteration. Unbatched work
+///   that self-consistently by fixed-point iteration. Per-message work
 ///   floats across the whole lane pool; batched pipeline work is pinned
 ///   to `snic_cores` lanes and dispatch only reaches the
 ///   `min(snic_cores, client_flows)` lanes the client shards map to.
@@ -390,7 +385,7 @@ pub fn predict(
     let lanes = profile.pipeline_cores() as f64;
     let scan_s = scan.as_secs_f64();
     let (snic_capacity, total_cpu) = if k <= 1 {
-        // Unbatched work floats across the whole lane pool; every message
+        // Per-message work floats across the whole lane pool; every message
         // pays rx, dispatch (where the cache is consulted) and tx, but
         // only misses pay the scans and the forward cycle.
         let total = rx
@@ -791,7 +786,7 @@ mod tests {
             gpus: 2,
             mqueues_per_gpu: 15,
             snic_cores: 4,
-            batch: BatchPolicy::Unbatched,
+            batch: BatchPolicy::Fixed(1),
             slots: 32,
             cache: false,
         };
@@ -820,7 +815,7 @@ mod tests {
             gpus: 1,
             mqueues_per_gpu: 60,
             snic_cores: 1,
-            batch: BatchPolicy::Unbatched,
+            batch: BatchPolicy::Fixed(1),
             slots: 32,
             cache: false,
         };
@@ -844,7 +839,7 @@ mod tests {
             gpus: 1,
             mqueues_per_gpu: 1,
             snic_cores: 1,
-            batch: BatchPolicy::Unbatched,
+            batch: BatchPolicy::Fixed(1),
             slots: 16,
             cache: false,
         };
@@ -869,7 +864,7 @@ mod tests {
             gpus: 1,
             mqueues_per_gpu: 1,
             snic_cores: 1,
-            batch: BatchPolicy::Unbatched,
+            batch: BatchPolicy::Fixed(1),
             slots: 16,
             cache: false,
         };
@@ -940,7 +935,7 @@ mod tests {
         assert!(dc.mq.validate().is_ok());
         // The tuner should discover that batching wins on the ARM cores.
         assert!(
-            tuned.candidate.batch != BatchPolicy::Unbatched,
+            tuned.candidate.batch != BatchPolicy::Fixed(1),
             "expected a batched policy, got {:?}",
             tuned.candidate.batch
         );

@@ -32,7 +32,7 @@ fn subset(all: &[usize], mask: u32) -> Vec<usize> {
 
 fn batch_axis(mask: u32) -> Vec<BatchPolicy> {
     let all = [
-        BatchPolicy::Unbatched,
+        BatchPolicy::Fixed(1),
         BatchPolicy::Fixed(4),
         BatchPolicy::Fixed(16),
         BatchPolicy::Fixed(32),
@@ -45,7 +45,7 @@ fn batch_axis(mask: u32) -> Vec<BatchPolicy> {
         .map(|(_, v)| v)
         .collect();
     if picked.is_empty() {
-        vec![BatchPolicy::Unbatched]
+        vec![BatchPolicy::Fixed(1)]
     } else {
         picked
     }
@@ -132,7 +132,7 @@ proptest! {
         gpus in 1usize..=4,
         mq in 1usize..=240,
         cores in 1usize..=6,
-        k in 0usize..=32,
+        k in 1usize..=32,
         slots in 1usize..=128,
     ) {
         let goal = goal_from(delay_us, payload, 2_000, 0);
@@ -140,7 +140,7 @@ proptest! {
             gpus,
             mqueues_per_gpu: mq,
             snic_cores: cores,
-            batch: if k == 0 { BatchPolicy::Unbatched } else { BatchPolicy::Fixed(k) },
+            batch: BatchPolicy::Fixed(k),
             slots,
             cache: false,
         };

@@ -64,8 +64,8 @@ pub mod prelude {
     pub use lynx_core::testbed::{DeployConfig, Deployment, GpuSite, Machine};
     pub use lynx_core::{
         BatchPolicy, ControlConfig, DispatchPolicy, Error, LynxServer, LynxServerBuilder, Mqueue,
-        MqueueConfig, MqueueKind, Pipeline, PipelineConfig, RecoveryConfig, RemoteMqManager,
-        Result, ReturnAddr, RmqConfig, ServiceId, SnicPlatform, Validate,
+        MqueueConfig, MqueueKind, PipelineConfig, RecoveryConfig, RemoteMqManager, Result,
+        ReturnAddr, RmqConfig, ServiceId, SnicPlatform, Validate,
     };
     pub use lynx_device::{
         profile_for, AppProfile, BluefieldProfile, CostProfile, FpgaProfile, GpuProfile,

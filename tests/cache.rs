@@ -1,7 +1,9 @@
 //! The SNIC-resident hot-key cache end to end: write-through
 //! invalidation on the wire, the serve-stale degradation control loop,
-//! and byte-identity of same-seed cache-enabled runs
-//! (the CI matrix reruns this file under `LYNX_SIM_THREADS=1/2/8`).
+//! the on-NIC compute offload, and byte-identity of same-seed
+//! cache-enabled runs (the CI matrix reruns this file under
+//! `LYNX_SIM_THREADS=1/2/8`). Tests that take a [`PipelineConfig`] run
+//! both per-message and batched.
 
 use std::cell::{Cell, RefCell};
 use std::fmt;
@@ -12,8 +14,8 @@ use lynx::apps::kv::{self, KvStore};
 use lynx::core::testbed::{deploy_processor, DeployConfig, Machine};
 use lynx::core::RmqConfig;
 use lynx::core::{
-    CacheConfig, CacheOp, CacheProtocol, ControlConfig, FunctionRegistry, FunctionSpec, MatchRule,
-    MqueueConfig, ServiceId, TenancyConfig,
+    BatchPolicy, CacheConfig, CacheOp, CacheProtocol, ControlConfig, FunctionRegistry,
+    FunctionSpec, MatchRule, MqueueConfig, PipelineConfig, ServiceId, SnicKernel, TenancyConfig,
 };
 use lynx::device::{GpuSpec, RequestProcessor};
 use lynx::net::{HostStack, LinkSpec, Network, Platform, SockAddr, StackKind, StackProfile};
@@ -84,6 +86,18 @@ fn get(key: &str) -> Vec<u8> {
         key: key.as_bytes().to_vec(),
     }
     .encode()
+}
+
+/// The request path at both ends of the batch knob: per-message dispatch
+/// (the default `Fixed(1)`) and a batched two-core pipeline.
+fn pipelines() -> [PipelineConfig; 2] {
+    [
+        PipelineConfig::default(),
+        PipelineConfig {
+            snic_cores: 2,
+            batch: BatchPolicy::Fixed(8),
+        },
+    ]
 }
 
 fn counter(t: &Telemetry, name: &str) -> u64 {
@@ -342,8 +356,8 @@ fn degradation_engages_before_shedding_and_recovers_with_hysteresis() {
     assert!(hot_values.get() > 100, "hot flow was served throughout");
 }
 
-/// One cache-enabled closed-loop run, fully traced.
-fn traced_cache_run(seed: u64) -> (Telemetry, u64, u64, String) {
+/// One cache-enabled closed-loop run under `pipeline`, fully traced.
+fn traced_cache_run(seed: u64, pipeline: PipelineConfig) -> (Telemetry, u64, u64, String) {
     let mut sim = Sim::new(seed);
     let telemetry = sim.enable_telemetry();
     let net = Network::new();
@@ -357,6 +371,7 @@ fn traced_cache_run(seed: u64) -> (Telemetry, u64, u64, String) {
     }
     let cfg = DeployConfig {
         mqueues_per_gpu: 2,
+        pipeline,
         cache: CacheConfig {
             enabled: true,
             bytes_per_lane: 1 << 16,
@@ -396,19 +411,29 @@ fn traced_cache_run(seed: u64) -> (Telemetry, u64, u64, String) {
 }
 
 /// Cache-enabled same-seed runs are byte-identical on replay (the CLOCK
-/// cache adds no nondeterminism). The CI thread matrix reruns this under
-/// `LYNX_SIM_THREADS=1/2/8`.
+/// cache adds no nondeterminism), per-message and batched. The CI thread
+/// matrix reruns this under `LYNX_SIM_THREADS=1/2/8`.
 #[test]
 fn cache_enabled_runs_are_byte_identical_across_replays() {
-    let (base_t, base_hits, base_misses, base_tput) = traced_cache_run(4242);
-    assert!(base_t.event_count() > 100, "trace must be non-trivial");
-    let (t, hits, misses, tput) = traced_cache_run(4242);
-    assert_eq!(base_hits, hits, "hit counts diverge");
-    assert_eq!(base_misses, misses, "miss counts diverge");
-    assert_eq!(base_tput, tput, "throughput diverges");
-    assert_eq!(base_t.to_jsonl(), t.to_jsonl(), "trace bytes diverge");
-    assert_eq!(base_t.counters(), t.counters(), "counters diverge");
-    assert_eq!(base_t.gauges(), t.gauges(), "gauges diverge");
+    for pipeline in pipelines() {
+        let (base_t, base_hits, base_misses, base_tput) = traced_cache_run(4242, pipeline);
+        assert!(base_t.event_count() > 100, "trace must be non-trivial");
+        let (t, hits, misses, tput) = traced_cache_run(4242, pipeline);
+        assert_eq!(base_hits, hits, "{pipeline:?}: hit counts diverge");
+        assert_eq!(base_misses, misses, "{pipeline:?}: miss counts diverge");
+        assert_eq!(base_tput, tput, "{pipeline:?}: throughput diverges");
+        assert_eq!(
+            base_t.to_jsonl(),
+            t.to_jsonl(),
+            "{pipeline:?}: trace bytes diverge"
+        );
+        assert_eq!(
+            base_t.counters(),
+            t.counters(),
+            "{pipeline:?}: counters diverge"
+        );
+        assert_eq!(base_t.gauges(), t.gauges(), "{pipeline:?}: gauges diverge");
+    }
 }
 
 /// The stale-fill race (two outstanding requests): a GET misses and its
@@ -774,6 +799,12 @@ impl RequestProcessor for KeyedKv {
 /// the acknowledgement must not read the old value from the SNIC.
 #[test]
 fn get_sent_after_a_set_ack_never_reads_the_old_value() {
+    for pipeline in pipelines() {
+        get_after_set_ack(pipeline);
+    }
+}
+
+fn get_after_set_ack(pipeline: PipelineConfig) {
     let mut sim = Sim::new(5);
     let net = Network::new();
     let machine = Machine::new(&net, "server-0");
@@ -789,6 +820,7 @@ fn get_sent_after_a_set_ack_never_reads_the_old_value() {
     // Round-robin over one mqueue per GPU: requests alternate queues.
     let cfg = DeployConfig {
         mqueues_per_gpu: 1,
+        pipeline,
         cache: CacheConfig {
             enabled: true,
             bytes_per_lane: 1 << 16,
@@ -832,18 +864,220 @@ fn get_sent_after_a_set_ack_never_reads_the_old_value() {
     sim.run_for(Duration::from_millis(5));
     {
         let got = replies.borrow();
-        assert_eq!(got.len(), 4, "all four answered");
+        assert_eq!(got.len(), 4, "{pipeline:?}: all four answered");
         // The race happened: the GET ran ahead of the SET and read v1.
-        assert!(got.contains(&kv::Response::Value(b"v1".to_vec())));
-        assert_eq!(got.last(), Some(&kv::Response::Stored), "SET acked last");
+        assert!(
+            got.contains(&kv::Response::Value(b"v1".to_vec())),
+            "{pipeline:?}: the GET must run ahead of the SET"
+        );
+        assert_eq!(
+            got.last(),
+            Some(&kv::Response::Stored),
+            "{pipeline:?}: SET acked last"
+        );
     }
     stack.send_udp(&mut sim, 9000, addr, get("alpha"));
     sim.run_for(Duration::from_millis(2));
     assert_eq!(
         replies.borrow().last(),
         Some(&kv::Response::Value(b"v2".to_vec())),
-        "a GET sent after the SET's acknowledgement read the old value"
+        "{pipeline:?}: a GET sent after the SET's acknowledgement read the old value"
     );
+}
+
+/// An on-NIC kernel that, while `on`, answers GETs itself with a value
+/// only it produces; SETs (and every request while off) go to the
+/// accelerator.
+#[derive(Debug)]
+struct GetKernel {
+    on: Rc<Cell<bool>>,
+}
+
+impl GetKernel {
+    fn answer(key: &[u8]) -> Vec<u8> {
+        kv::Response::Value([b"snic:".as_slice(), key].concat()).encode()
+    }
+}
+
+impl SnicKernel for GetKernel {
+    fn name(&self) -> &str {
+        "get-kernel"
+    }
+
+    fn work(&self, _request: &[u8]) -> Duration {
+        Duration::from_micros(2)
+    }
+
+    fn execute(&self, request: &[u8]) -> Option<Vec<u8>> {
+        match kv::Request::decode(request)? {
+            kv::Request::Get { key } if self.on.get() => Some(GetKernel::answer(&key)),
+            _ => None,
+        }
+    }
+}
+
+/// The on-NIC compute offload, per-message and batched. Engaged at
+/// occupancy 0.0, the kernel answers every GET: each GET's reply is the
+/// kernel's output, `snic.compute.offloaded` counts exactly those GETs,
+/// and nothing fills the cache. SETs, which the kernel declines, still
+/// reach the accelerator. The fill lease each GET miss took is released
+/// when the kernel answers: once the kernel is switched off, one GET per
+/// key and lane reaches the accelerator and fills.
+#[test]
+fn offloaded_gets_reply_with_the_kernel_output_and_release_their_leases() {
+    for pipeline in pipelines() {
+        let mut sim = Sim::new(21);
+        let telemetry = sim.enable_telemetry();
+        let net = Network::new();
+        let machine = Machine::new(&net, "server-0");
+        let gpu = machine.add_gpu(GpuSpec::k40m());
+        let store = Rc::new(RefCell::new(KvStore::new(1 << 20)));
+        for k in 0..7 {
+            store
+                .borrow_mut()
+                .set(format!("key-{k}").into_bytes(), b"v0".to_vec());
+        }
+        let kernel_on = Rc::new(Cell::new(true));
+        let cfg = DeployConfig {
+            mqueues_per_gpu: 2,
+            pipeline,
+            cache: CacheConfig {
+                enabled: true,
+                bytes_per_lane: 1 << 16,
+            },
+            cache_protocol: Some(Rc::new(KvWire)),
+            snic_compute: Some((
+                Rc::new(GetKernel {
+                    on: Rc::clone(&kernel_on),
+                }),
+                0.0,
+            )),
+            ..DeployConfig::default()
+        };
+        let d = deploy_processor(
+            &mut sim,
+            &net,
+            &machine,
+            &[machine.gpu_site(&gpu)],
+            &cfg,
+            Rc::new(SlowKv {
+                store,
+                service_time: Duration::from_micros(20),
+            }),
+        );
+        // Every request leaves from its own source port, so each reply
+        // pairs with its request. Two client hosts load both shards of a
+        // two-core pipeline.
+        let replies = Rc::new(RefCell::new(Vec::<(u16, Vec<u8>)>::new()));
+        let stacks: Vec<HostStack> = (0..2)
+            .map(|h| {
+                let stack = client_stack(&net, &format!("client-{h}"));
+                let replies = Rc::clone(&replies);
+                stack.bind_udp_default(move |_, dg| {
+                    replies
+                        .borrow_mut()
+                        .push((dg.dst.port, dg.payload.to_vec()));
+                });
+                stack
+            })
+            .collect();
+        let burst = |sim: &mut Sim, requests: &[(u16, kv::Request)]| {
+            for (port, req) in requests {
+                let stack = &stacks[usize::from(port / 100 % 2)];
+                stack.send_udp(sim, *port, d.server_addr, req.encode());
+            }
+            sim.run_for(Duration::from_millis(5));
+        };
+        let reply_to = |port: u16| {
+            let replies = replies.borrow();
+            let (_, reply) = replies
+                .iter()
+                .find(|(p, _)| *p == port)
+                .expect("one reply per request");
+            reply.clone()
+        };
+
+        // Kernel on: 20 requests per host, every fifth a SET. The SETs
+        // write other keys: their invalidation would void the GETs'
+        // leases and hide one that was never released.
+        let requests: Vec<(u16, kv::Request)> = (0..40u16)
+            .map(|n| {
+                let req = if n % 5 == 4 {
+                    kv::Request::Set {
+                        key: format!("set-{n}").into_bytes(),
+                        val: b"v1".to_vec(),
+                    }
+                } else {
+                    kv::Request::Get {
+                        key: format!("key-{}", n % 7).into_bytes(),
+                    }
+                };
+                (10_000 + n / 20 * 100 + n % 20, req)
+            })
+            .collect();
+        burst(&mut sim, &requests);
+        assert_eq!(
+            replies.borrow().len(),
+            requests.len(),
+            "{pipeline:?}: all answered"
+        );
+        let mut gets = 0;
+        for (port, req) in &requests {
+            let reply = reply_to(*port);
+            match req {
+                kv::Request::Get { key } => {
+                    gets += 1;
+                    assert_eq!(
+                        reply,
+                        GetKernel::answer(key),
+                        "{pipeline:?}: a GET was not answered by the kernel"
+                    );
+                }
+                kv::Request::Set { .. } => assert_eq!(
+                    kv::Response::decode(&reply),
+                    Some(kv::Response::Stored),
+                    "{pipeline:?}: a SET must reach the accelerator"
+                ),
+            }
+        }
+        assert_eq!(gets, 32);
+        assert_eq!(counter(&telemetry, "snic.compute.offloaded"), gets);
+        assert_eq!(counter(&telemetry, "cache.misses"), gets, "{pipeline:?}");
+        assert_eq!(
+            counter(&telemetry, "cache.fills"),
+            0,
+            "{pipeline:?}: the kernel answered every GET, nothing fills"
+        );
+        if pipeline.is_batched() {
+            assert!(counter(&telemetry, "pipeline.batches") > 0);
+        }
+
+        // Kernel off: one GET per key from each host, on fresh ports.
+        kernel_on.set(false);
+        let requests: Vec<(u16, kv::Request)> = (0..14u16)
+            .map(|n| {
+                let key = format!("key-{}", n % 7).into_bytes();
+                (10_050 + n / 7 * 100 + n % 7, kv::Request::Get { key })
+            })
+            .collect();
+        burst(&mut sim, &requests);
+        for (port, _) in &requests {
+            assert!(
+                matches!(
+                    kv::Response::decode(&reply_to(*port)),
+                    Some(kv::Response::Value(_))
+                ),
+                "{pipeline:?}: the accelerator answers once the kernel is off"
+            );
+        }
+        let lanes = pipeline.snic_cores as u64;
+        assert_eq!(
+            counter(&telemetry, "cache.fills"),
+            7 * lanes,
+            "{pipeline:?}: a lease an offloaded GET took was never released"
+        );
+        assert_eq!(counter(&telemetry, "snic.compute.offloaded"), gets);
+    }
 }
 
 /// Conservation under faults with cache, tenancy and the control plane
