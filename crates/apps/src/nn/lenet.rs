@@ -7,7 +7,9 @@ use lynx_device::RequestProcessor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use super::{avg_pool2, conv2d, dense, softmax, tanh, Tensor};
+use super::layers::{
+    avg_pool2_into, conv2d_into, dense_into, softmax_in_place, tanh_in_place, ConvShape,
+};
 use super::{IMAGE_BYTES, IMAGE_SIDE};
 
 /// Measured LeNet inference time on the reference GPU. The paper reports a
@@ -21,18 +23,34 @@ pub const LENET_KERNEL_TIME: Duration = Duration::from_micros(278);
 /// parallelism spawns under Lynx.
 pub const LENET_LAUNCHES: u32 = 8;
 
-struct ConvParams {
-    w: Vec<f32>,
-    b: Vec<f32>,
-    out_ch: usize,
-    k: usize,
-    pad: usize,
-}
+/// conv1: 6 planes of 28×28 over the 1×28×28 image (5×5, pad 2).
+const CONV1: ConvShape = ConvShape {
+    in_ch: 1,
+    h: IMAGE_SIDE,
+    w: IMAGE_SIDE,
+    k: 5,
+    pad: 2,
+};
+const C1: usize = 6;
+/// conv2: 16 planes of 10×10 over the pooled 6×14×14 (5×5, no pad).
+const CONV2: ConvShape = ConvShape {
+    in_ch: C1,
+    h: CONV1.oh() / 2,
+    w: CONV1.ow() / 2,
+    k: 5,
+    pad: 0,
+};
+const C2: usize = 16;
+/// The flattened second pooling output: 16×5×5.
+const FLAT: usize = C2 * (CONV2.oh() / 2) * (CONV2.ow() / 2);
+const FC1: usize = 120;
+const FC2: usize = 84;
+const CLASSES: usize = 10;
 
-struct DenseParams {
+/// One layer's weights and biases.
+struct Params {
     w: Vec<f32>,
     b: Vec<f32>,
-    out_n: usize,
 }
 
 /// The LeNet-5 network: conv(6@5×5, pad 2) → tanh → pool → conv(16@5×5)
@@ -44,11 +62,11 @@ struct DenseParams {
 /// deterministic, which is what the timing experiments need. Use
 /// [`LeNet::infer`] for the class-probability vector.
 pub struct LeNet {
-    conv1: ConvParams,
-    conv2: ConvParams,
-    fc1: DenseParams,
-    fc2: DenseParams,
-    fc3: DenseParams,
+    conv1: Params,
+    conv2: Params,
+    fc1: Params,
+    fc2: Params,
+    fc3: Params,
     seed: u64,
 }
 
@@ -70,34 +88,25 @@ impl LeNet {
             (0..n).map(|_| rng.gen_range(-scale..scale)).collect()
         };
         LeNet {
-            conv1: ConvParams {
-                w: draw(6 * 5 * 5, 25),
-                b: draw(6, 25),
-                out_ch: 6,
-                k: 5,
-                pad: 2,
+            conv1: Params {
+                w: draw(C1 * 5 * 5, 25),
+                b: draw(C1, 25),
             },
-            conv2: ConvParams {
-                w: draw(16 * 6 * 5 * 5, 150),
-                b: draw(16, 150),
-                out_ch: 16,
-                k: 5,
-                pad: 0,
+            conv2: Params {
+                w: draw(C2 * C1 * 5 * 5, 150),
+                b: draw(C2, 150),
             },
-            fc1: DenseParams {
-                w: draw(120 * 400, 400),
-                b: draw(120, 400),
-                out_n: 120,
+            fc1: Params {
+                w: draw(FC1 * FLAT, FLAT),
+                b: draw(FC1, FLAT),
             },
-            fc2: DenseParams {
-                w: draw(84 * 120, 120),
-                b: draw(84, 120),
-                out_n: 84,
+            fc2: Params {
+                w: draw(FC2 * FC1, FC1),
+                b: draw(FC2, FC1),
             },
-            fc3: DenseParams {
-                w: draw(10 * 84, 84),
-                b: draw(10, 84),
-                out_n: 10,
+            fc3: Params {
+                w: draw(CLASSES * FC2, FC2),
+                b: draw(CLASSES, FC2),
             },
             seed,
         }
@@ -120,42 +129,37 @@ impl LeNet {
     /// Runs the forward pass on a 28×28 grayscale image (one byte per
     /// pixel), returning the 10 class probabilities.
     ///
+    /// Every layer writes a fixed-size stack buffer: the pass makes no
+    /// heap allocation.
+    ///
     /// # Panics
     ///
     /// Panics if `image.len() != 784`.
     pub fn infer(&self, image: &[u8]) -> [f32; 10] {
         assert_eq!(image.len(), IMAGE_BYTES, "LeNet expects a 28x28 image");
-        let input = Tensor::from_vec(
-            1,
-            IMAGE_SIDE,
-            IMAGE_SIDE,
-            image.iter().map(|&p| p as f32 / 255.0).collect(),
-        );
-        let c1 = tanh(&conv2d(
-            &input,
-            &self.conv1.w,
-            &self.conv1.b,
-            self.conv1.out_ch,
-            self.conv1.k,
-            self.conv1.pad,
-        ));
-        let p1 = avg_pool2(&c1);
-        let c2 = tanh(&conv2d(
-            &p1,
-            &self.conv2.w,
-            &self.conv2.b,
-            self.conv2.out_ch,
-            self.conv2.k,
-            self.conv2.pad,
-        ));
-        let p2 = avg_pool2(&c2);
-        debug_assert_eq!(p2.len(), 400);
-        let f1 = tanh(&dense(&p2, &self.fc1.w, &self.fc1.b, self.fc1.out_n));
-        let f2 = tanh(&dense(&f1, &self.fc2.w, &self.fc2.b, self.fc2.out_n));
-        let logits = dense(&f2, &self.fc3.w, &self.fc3.b, self.fc3.out_n);
-        let probs = softmax(&logits);
-        let mut out = [0.0f32; 10];
-        out.copy_from_slice(probs.as_slice());
+        let mut input = [0.0f32; IMAGE_BYTES];
+        for (x, &p) in input.iter_mut().zip(image) {
+            *x = p as f32 / 255.0;
+        }
+        let mut c1 = [0.0f32; C1 * CONV1.oh() * CONV1.ow()];
+        conv2d_into(&input, CONV1, &self.conv1.w, &self.conv1.b, &mut c1);
+        tanh_in_place(&mut c1);
+        let mut p1 = [0.0f32; C1 * CONV2.h * CONV2.w];
+        avg_pool2_into(&c1, (C1, CONV1.oh(), CONV1.ow()), &mut p1);
+        let mut c2 = [0.0f32; C2 * CONV2.oh() * CONV2.ow()];
+        conv2d_into(&p1, CONV2, &self.conv2.w, &self.conv2.b, &mut c2);
+        tanh_in_place(&mut c2);
+        let mut p2 = [0.0f32; FLAT];
+        avg_pool2_into(&c2, (C2, CONV2.oh(), CONV2.ow()), &mut p2);
+        let mut f1 = [0.0f32; FC1];
+        dense_into(&p2, &self.fc1.w, &self.fc1.b, &mut f1);
+        tanh_in_place(&mut f1);
+        let mut f2 = [0.0f32; FC2];
+        dense_into(&f1, &self.fc2.w, &self.fc2.b, &mut f2);
+        tanh_in_place(&mut f2);
+        let mut out = [0.0f32; CLASSES];
+        dense_into(&f2, &self.fc3.w, &self.fc3.b, &mut out);
+        softmax_in_place(&mut out);
         out
     }
 
@@ -221,6 +225,29 @@ impl RequestProcessor for LeNetProcessor {
 mod tests {
     use super::*;
     use crate::nn::DigitGenerator;
+
+    /// FNV-1a over the bit patterns of every probability that
+    /// `LeNet::new(s).infer` returns for 200 generated digits under each
+    /// of three seeds, as computed by the scalar layer loops that
+    /// `layers.rs` keeps as test oracles. A kernel that reorders an
+    /// output's floating-point sum changes it.
+    const GOLDEN_INFER_DIGEST: u64 = 0x60af_e8ce_02b8_33cd;
+
+    #[test]
+    fn inference_matches_the_golden_digest() {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for seed in [0u64, 7, 99] {
+            let net = LeNet::new(seed);
+            for (_, img) in DigitGenerator::new(seed).batch(200) {
+                for p in net.infer(&img) {
+                    for b in p.to_bits().to_le_bytes() {
+                        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+                    }
+                }
+            }
+        }
+        assert_eq!(h, GOLDEN_INFER_DIGEST, "digest {h:#018x}");
+    }
 
     #[test]
     fn parameter_count_matches_lenet5() {

@@ -13,7 +13,7 @@ mod lenet;
 mod mnist;
 mod tensor;
 
-pub use layers::{avg_pool2, conv2d, dense, relu, softmax, tanh};
+pub use layers::{avg_pool2, conv2d, dense, softmax, tanh};
 pub use lenet::{LeNet, LeNetProcessor, LENET_KERNEL_TIME, LENET_LAUNCHES};
 pub use mnist::{DigitGenerator, IMAGE_BYTES, IMAGE_SIDE};
 pub use tensor::Tensor;

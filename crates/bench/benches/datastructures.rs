@@ -11,7 +11,7 @@ use std::hint::black_box;
 use lynx_apps::aes::Aes128;
 use lynx_apps::kv::KvStore;
 use lynx_apps::lbp::{self, FaceDb};
-use lynx_apps::nn::{DigitGenerator, LeNet};
+use lynx_apps::nn::{avg_pool2, conv2d, dense, tanh, DigitGenerator, LeNet, Tensor};
 use lynx_core::{Mqueue, MqueueConfig, MqueueKind, ReturnAddr};
 use lynx_fabric::{MemRegion, NodeId};
 use lynx_sim::{Histogram, Sim};
@@ -84,11 +84,36 @@ fn bench_kv(c: &mut Criterion) {
     });
 }
 
+/// `n` deterministic weights in `±1/√fan_in`, LeNet's init range.
+fn weights(n: usize, fan_in: usize) -> Vec<f32> {
+    let scale = (1.0 / fan_in as f32).sqrt();
+    (0..n)
+        .map(|i| ((i * 7919 % 1000) as f32 / 500.0 - 1.0) * scale)
+        .collect()
+}
+
 fn bench_lenet(c: &mut Criterion) {
+    let img = DigitGenerator::new(0).image(5);
     c.bench_function("nn/lenet forward pass", |b| {
         let net = LeNet::new(0);
-        let img = DigitGenerator::new(0).image(5);
         b.iter(|| black_box(net.classify(&img)))
+    });
+    // LeNet's three costliest layers at its shapes, through the public
+    // wrappers, so a per-layer regression shows up on its own.
+    let input = Tensor::from_vec(1, 28, 28, img.iter().map(|&p| p as f32 / 255.0).collect());
+    let (w1, b1) = (weights(6 * 25, 25), weights(6, 25));
+    c.bench_function("nn/conv2d lenet-conv1", |b| {
+        b.iter(|| black_box(conv2d(&input, &w1, &b1, 6, 5, 2)))
+    });
+    let p1 = avg_pool2(&tanh(&conv2d(&input, &w1, &b1, 6, 5, 2)));
+    let (w2, b2) = (weights(16 * 150, 150), weights(16, 150));
+    c.bench_function("nn/conv2d lenet-conv2", |b| {
+        b.iter(|| black_box(conv2d(&p1, &w2, &b2, 16, 5, 0)))
+    });
+    let p2 = avg_pool2(&tanh(&conv2d(&p1, &w2, &b2, 16, 5, 0)));
+    let (w3, b3) = (weights(120 * 400, 400), weights(120, 400));
+    c.bench_function("nn/dense lenet-fc1", |b| {
+        b.iter(|| black_box(dense(&p2, &w3, &b3, 120)))
     });
 }
 

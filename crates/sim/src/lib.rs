@@ -19,7 +19,7 @@
 //!   used to model CPU cores, DMA engines and pipeline stages.
 //! * [`Histogram`] — HDR-style log-bucketed latency histogram (≤1.6 %
 //!   relative quantization error) used for every latency figure.
-//! * [`stats`] — Welford accumulators and throughput meters.
+//! * [`stats`] — throughput meters.
 //! * [`telemetry`] — opt-in structured event tracing (JSONL / Chrome
 //!   `trace_event`) and named counters/gauges; zero-cost when disabled.
 //! * [`faults`] — opt-in deterministic fault injection: seed-driven

@@ -1,100 +1,8 @@
-//! Streaming statistics: Welford accumulators and throughput meters.
+//! Streaming statistics: throughput meters.
 
-use std::fmt;
 use std::time::Duration;
 
 use crate::Time;
-
-/// Numerically stable streaming mean/variance accumulator (Welford's
-/// algorithm).
-///
-/// # Example
-///
-/// ```
-/// use lynx_sim::stats::Welford;
-///
-/// let mut w = Welford::new();
-/// for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-///     w.push(x);
-/// }
-/// assert!((w.mean() - 5.0).abs() < 1e-12);
-/// assert!((w.population_std() - 2.0).abs() < 1e-12);
-/// ```
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Welford {
-    n: u64,
-    mean: f64,
-    m2: f64,
-}
-
-impl Welford {
-    /// Creates an empty accumulator.
-    pub fn new() -> Welford {
-        Welford::default()
-    }
-
-    /// Adds an observation.
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Arithmetic mean (0 when empty).
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Population variance (0 when fewer than 2 observations).
-    pub fn population_variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
-    /// Sample variance (0 when fewer than 2 observations).
-    pub fn sample_variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / (self.n - 1) as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn population_std(&self) -> f64 {
-        self.population_variance().sqrt()
-    }
-
-    /// Coefficient of variation (std / mean); 0 when the mean is 0.
-    pub fn cv(&self) -> f64 {
-        if self.mean == 0.0 {
-            0.0
-        } else {
-            self.population_std() / self.mean.abs()
-        }
-    }
-}
-
-impl fmt::Display for Welford {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "n={} mean={:.4} std={:.4}",
-            self.n,
-            self.mean,
-            self.population_std()
-        )
-    }
-}
 
 /// Counts events inside a measurement window and reports throughput.
 ///
@@ -160,25 +68,6 @@ impl Meter {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn welford_matches_two_pass() {
-        let xs: Vec<f64> = (0..1000).map(|i| ((i * 7919) % 100) as f64).collect();
-        let mut w = Welford::new();
-        xs.iter().for_each(|&x| w.push(x));
-        let mean = xs.iter().sum::<f64>() / xs.len() as f64;
-        let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / xs.len() as f64;
-        assert!((w.mean() - mean).abs() < 1e-9);
-        assert!((w.population_variance() - var).abs() < 1e-6);
-    }
-
-    #[test]
-    fn welford_single_observation() {
-        let mut w = Welford::new();
-        w.push(5.0);
-        assert_eq!(w.mean(), 5.0);
-        assert_eq!(w.population_variance(), 0.0);
-    }
 
     #[test]
     fn meter_excludes_warmup() {
